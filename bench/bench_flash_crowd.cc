@@ -12,7 +12,6 @@
 //   --json-summary=<p>   machine-readable per-cell summaries (tagged path)
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -119,10 +118,6 @@ std::vector<Cell> BuildCells(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--mechanism=", 12) == 0) only = argv[i] + 12;
-  }
 
   std::printf("DRRS overload control — flash crowd at 2x capacity\n");
   std::printf("%-10s %9s %9s %12s %10s %9s %8s %12s\n", "cell", "shed",
@@ -131,7 +126,7 @@ int main(int argc, char** argv) {
 
   drrs::bench::TagSet tags;
   for (Cell& cell : BuildCells(args)) {
-    if (!only.empty() && only != cell.name) continue;
+    if (!args.mechanism.empty() && args.mechanism != cell.name) continue;
     const std::string tag = tags.Unique(std::string("flash-crowd.") +
                                         cell.name);
     args.ApplyTelemetry(cell.config, tag);

@@ -1,6 +1,9 @@
 #ifndef DRRS_BENCH_BENCH_WORKLOADS_H_
 #define DRRS_BENCH_BENCH_WORKLOADS_H_
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,21 +107,25 @@ inline workloads::WorkloadSpec BuildByName(const std::string& name,
 }
 
 /// Common CLI: every figure binary accepts `--scale <f>` (workload scale
-/// factor) and `--series` (print the full time series, off by default to
-/// keep `for b in bench/*; do $b; done` output compact). `--faults` arms
-/// the canonical chunk-loss schedule (see FaultConfig) on binaries that
-/// support it, for recovery-latency comparisons against the clean run.
+/// factor, > 0) and `--no-series` (print the summary tables only; the full
+/// time series are printed by default). `--faults` arms the canonical
+/// chunk-loss schedule (see FaultConfig) on binaries that support it, for
+/// recovery-latency comparisons against the clean run.
 /// `--trace=<path>` exports a Chrome/Perfetto trace per run (DRRS_TRACE
 /// builds only; parsed but inert elsewhere) and `--json-summary=<path>`
 /// writes the machine-readable run summary; binaries that run several
 /// systems tag the path per run (see TaggedPath).
+///
+/// Parsing is strict: an unknown flag, a missing value or a malformed one
+/// prints a message naming the flag and exits with status 2, so a typo
+/// never runs a sweep with the flag silently dropped.
 struct BenchArgs {
   double scale = 1.0;
   bool series = true;
   bool faults = false;
   /// Worker threads for the partitioned simulation backend (`--threads N`
-  /// or `--threads=N`). Bit-identical output for every value; wall-clock
-  /// speedup only on multi-component workloads.
+  /// or `--threads=N`, N >= 1). Bit-identical output for every value;
+  /// wall-clock speedup only on multi-component workloads.
   uint32_t threads = 1;
   std::string trace;
   std::string json_summary;
@@ -126,29 +133,44 @@ struct BenchArgs {
   /// writes the sampled series as CSV (tagged per run like --json-summary).
   bool telemetry = false;
   std::string telemetry_csv;
+  /// `--mechanism=<cell>`: bench_flash_crowd runs only that cell.
+  std::string mechanism;
 
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-        args.scale = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--no-series") == 0) {
+      const char* arg = argv[i];
+      auto next_value = [&]() -> const char* {
+        if (i + 1 >= argc) Reject(arg, "needs a value");
+        return argv[++i];
+      };
+      if (std::strcmp(arg, "--scale") == 0) {
+        args.scale = ParseScale(next_value());
+      } else if (std::strcmp(arg, "--no-series") == 0) {
         args.series = false;
-      } else if (std::strcmp(argv[i], "--faults") == 0) {
+      } else if (std::strcmp(arg, "--faults") == 0) {
         args.faults = true;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        args.threads = static_cast<uint32_t>(std::atoi(argv[++i]));
-      } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        args.threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        args.trace = argv[i] + 8;
-      } else if (std::strncmp(argv[i], "--json-summary=", 15) == 0) {
-        args.json_summary = argv[i] + 15;
-      } else if (std::strcmp(argv[i], "--telemetry") == 0) {
+      } else if (std::strcmp(arg, "--threads") == 0) {
+        args.threads = ParseThreads(next_value());
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        args.threads = ParseThreads(arg + 10);
+      } else if (std::strncmp(arg, "--trace=", 8) == 0) {
+        args.trace = arg + 8;
+      } else if (std::strncmp(arg, "--json-summary=", 15) == 0) {
+        args.json_summary = arg + 15;
+      } else if (std::strcmp(arg, "--telemetry") == 0) {
         args.telemetry = true;
-      } else if (std::strncmp(argv[i], "--telemetry=", 12) == 0) {
+      } else if (std::strncmp(arg, "--telemetry=", 12) == 0) {
         args.telemetry = true;
-        args.telemetry_csv = argv[i] + 12;
+        args.telemetry_csv = arg + 12;
+      } else if (std::strncmp(arg, "--mechanism=", 12) == 0) {
+        args.mechanism = arg + 12;
+      } else {
+        Reject(arg,
+               "is not a known flag (known: --scale <f>, --no-series, "
+               "--faults, --threads N, --trace=<path>, "
+               "--json-summary=<path>, --telemetry[=<csv>], "
+               "--mechanism=<cell>)");
       }
     }
     return args;
@@ -172,6 +194,35 @@ struct BenchArgs {
         c.telemetry.csv_path += "." + tag;
       }
     }
+  }
+
+ private:
+  [[noreturn]] static void Reject(const std::string& flag,
+                                  const std::string& why) {
+    std::fprintf(stderr, "error: %s %s\n", flag.c_str(), why.c_str());
+    std::exit(2);
+  }
+
+  static double ParseScale(const char* text) {
+    char* end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || !(v > 0)) {
+      Reject("--scale", std::string("wants a number > 0, got '") + text +
+                            "'");
+    }
+    return v;
+  }
+
+  static uint32_t ParseThreads(const char* text) {
+    char* end = nullptr;
+    errno = 0;
+    long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || v < 1 ||
+        v > static_cast<long>(UINT32_MAX)) {
+      Reject("--threads",
+             std::string("wants an integer >= 1, got '") + text + "'");
+    }
+    return static_cast<uint32_t>(v);
   }
 };
 

@@ -55,13 +55,9 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   transit.chunk = chunk;
   transit.rail = rail;
   transit.to = rail->receiver_id();
-  // Stage the serialized chunk in an arena block rather than heap memory:
-  // the block returns to its size-class freelist on install/abort, so the
-  // next chunk of comparable size (and any retransmission of this one)
-  // reuses it. staging_bytes_ tracks the sender-side migration footprint.
-  transit.wire_buffer = sim_->arena()->AllocateBlock(bytes);
+  // Modeled sender-side staging footprint; no memory backs it. It drops
+  // where the transit leaves in_transit_ (install, force-complete, abort).
   staging_bytes_ += bytes;
-  peak_staging_bytes_ = std::max(peak_staging_bytes_, staging_bytes_);
   DRRS_AUDIT_CALL(sim_->auditor(),
                   OnChunkEnqueued(chunk, from->id(), rail->receiver_id()));
   DRRS_TRACE_CALL(sim_->tracer(),
@@ -75,13 +71,6 @@ uint64_t StateTransfer::Enqueue(runtime::Task* from, net::Channel* rail,
   // schedule (bit-identical traces to pre-fault builds).
   if (policy_.enabled) ArmAckTimer(id);
   return bytes;
-}
-
-void StateTransfer::ReleaseWireBuffer(Transit* transit) {
-  if (transit->wire_buffer == nullptr) return;
-  sim_->arena()->FreeBlock(transit->wire_buffer, transit->chunk.chunk_bytes);
-  transit->wire_buffer = nullptr;
-  staging_bytes_ -= transit->chunk.chunk_bytes;
 }
 
 void StateTransfer::EnableReliability(const ChunkRetryPolicy& policy,
@@ -202,7 +191,7 @@ bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
   // the merge below completes — past the lexical pairing window, but still
   // in this function, and only on the success path this erase commits to.
   in_transit_.erase(it);
-  ReleaseWireBuffer(&transit);
+  staging_bytes_ -= transit.chunk.chunk_bytes;
   DRRS_CHECK(to->state() != nullptr);
   transit.state.key_group = chunk.key_group;
   if (transit.whole_group) {
@@ -236,7 +225,7 @@ size_t StateTransfer::ForceComplete(dataflow::ScaleId scale,
     // NOLINTNEXTLINE(drrs-audit-hook-coverage): OnChunkForceInstalled fires
     // at the end of this loop body, after the forced install lands.
     it = in_transit_.erase(it);
-    ReleaseWireBuffer(&transit);
+    staging_bytes_ -= transit.chunk.chunk_bytes;
     runtime::Task* to = graph->task(transit.to);
     DRRS_CHECK(to != nullptr && to->state() != nullptr);
     transit.state.key_group = transit.chunk.key_group;
@@ -272,7 +261,7 @@ void StateTransfer::AbortScale(dataflow::ScaleId scale) {
       DRRS_TRACE_CALL(sim_ != nullptr ? sim_->tracer() : nullptr,
                       OnChunkAborted(it->first));
       aborted_.insert(it->first);
-      ReleaseWireBuffer(&it->second);
+      staging_bytes_ -= it->second.chunk.chunk_bytes;
       it = in_transit_.erase(it);
     } else {
       ++it;

@@ -99,13 +99,10 @@ class StateTransfer {
   /// the transfer stage finished).
   uint64_t enqueued_count(dataflow::ScaleId scale) const;
 
-  /// Chunk staging-buffer footprint (bytes of arena blocks held by chunks
-  /// currently on the wire) and its high-water mark across the run. The
-  /// buffers come from the simulator's data-plane arena, so consecutive
-  /// transfers — and every retransmission — recycle the same blocks instead
-  /// of hitting the heap.
+  /// Modeled sender-side staging footprint: the chunk bytes of every
+  /// transfer still in transit (enqueued, not yet installed, force-completed
+  /// or aborted). A counter only — no memory backs the modeled bytes.
   uint64_t staging_bytes() const { return staging_bytes_; }
-  uint64_t peak_staging_bytes() const { return peak_staging_bytes_; }
 
  private:
   uint64_t Enqueue(runtime::Task* from, net::Channel* rail,
@@ -125,13 +122,7 @@ class StateTransfer {
     net::Channel* rail = nullptr;
     dataflow::InstanceId to = 0;
     uint32_t attempts = 0;
-    /// Sender-side serialization staging block (arena AllocateBlock of
-    /// chunk_bytes). Lives until install/abort/force-complete; a
-    /// retransmission re-sends from the same block.
-    void* wire_buffer = nullptr;
   };
-  /// Free `transit`'s staging block back to the arena's size-class pool.
-  void ReleaseWireBuffer(Transit* transit);
   /// Ordered map: AbortScale and the per-scale count iterate it, and a
   /// decision path must not depend on hash-bucket order.
   std::map<uint64_t, Transit> in_transit_;
@@ -150,7 +141,6 @@ class StateTransfer {
   ChunkRetryPolicy policy_;
   metrics::MetricsHub* hub_ = nullptr;
   uint64_t staging_bytes_ = 0;
-  uint64_t peak_staging_bytes_ = 0;
 };
 
 /// \brief View of a StateTransfer bound to one scaling operation: the

@@ -119,7 +119,7 @@ class ScalingStrategy {
     core_.set_on_idle(std::move(cb));
   }
 
-  /// State-transfer bytes currently staged in flight (telemetry probe).
+  /// Modeled state-transfer bytes currently in flight (telemetry probe).
   uint64_t staging_bytes() const { return core_.transfer().staging_bytes(); }
 
   runtime::ExecutionGraph* graph() { return graph_; }

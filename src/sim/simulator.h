@@ -122,11 +122,11 @@ class Simulator {
   uint64_t cancelled_fires() const { return cancelled_fires_; }
   void NoteCancelledFire() { ++cancelled_fires_; }
 
-  /// Data-plane arena: channel queue storage, wire batch buffers and
-  /// state-transfer scratch draw from here instead of the global heap. Its
-  /// lifetime is the simulation run; epoch resets are reserved for owners of
-  /// private arenas (the simulator never resets this one mid-run, since
-  /// channel queues live in it).
+  /// Data-plane arena: channel queue storage and wire batch buffers draw
+  /// from here instead of the global heap. Its lifetime is the simulation
+  /// run; epoch resets are reserved for owners of private arenas (the
+  /// simulator never resets this one mid-run, since channel queues live in
+  /// it).
   Arena* arena() { return &arena_; }
 
  private:

@@ -97,13 +97,19 @@ TEST(StateTransferTest, RoundTripMovesCellsAndOwnership) {
   runtime::Task* b = rig.graph->instance(rig.workload.scaled_op, 1);
   dataflow::KeyGroupId kg = *a->state()->owned_key_groups().begin();
   a->state()->GetOrCreate(kg, 12345)->counter = 99;
-  a->state()->Get(kg, 12345)->nominal_bytes = 5000;
+  // Modeled state: the chunk's 64 MiB price the wire and the staging
+  // counter, but must not turn into real memory.
+  constexpr uint64_t kModeledBytes = 64ull << 20;
+  a->state()->Get(kg, 12345)->nominal_bytes = kModeledBytes;
 
   StateTransfer transfer;
   b->Freeze();  // inspect the chunk ourselves instead of the task's loop
   net::Channel* rail = rig.graph->GetOrCreateScalingChannel(a, b);
+  const size_t reserved_before = rig.sim.arena()->bytes_reserved();
   uint64_t bytes = transfer.SendKeyGroup(a, rail, kg, 1, 0);
-  EXPECT_GE(bytes, 5000u);
+  EXPECT_LT(rig.sim.arena()->bytes_reserved() - reserved_before, 1u << 20);
+  EXPECT_GE(bytes, kModeledBytes);
+  EXPECT_EQ(transfer.staging_bytes(), bytes);
   EXPECT_FALSE(a->state()->OwnsKeyGroup(kg));
   EXPECT_EQ(transfer.in_transit_count(), 1u);
 
@@ -113,8 +119,10 @@ TEST(StateTransferTest, RoundTripMovesCellsAndOwnership) {
   dataflow::StreamElement chunk = rail->PopInput();
   ASSERT_EQ(chunk.kind, dataflow::ElementKind::kStateChunk);
   EXPECT_EQ(chunk.chunk_bytes, bytes);
+  EXPECT_EQ(transfer.staging_bytes(), bytes);  // still in flight
   transfer.Install(b, chunk);
   EXPECT_EQ(transfer.in_transit_count(), 0u);
+  EXPECT_EQ(transfer.staging_bytes(), 0u);
   EXPECT_TRUE(b->state()->OwnsKeyGroup(kg));
   EXPECT_EQ(b->state()->Get(kg, 12345)->counter, 99);
 }
@@ -153,13 +161,14 @@ TEST(StateTransferTest, AbortScaleDropsOnlyThatScalesChunks) {
   b->Freeze();
   net::Channel* rail = rig.graph->GetOrCreateScalingChannel(a, b);
   transfer.SendKeyGroup(a, rail, kg1, /*scale=*/1, 0);
-  transfer.SendKeyGroup(a, rail, kg2, /*scale=*/2, 0);
+  uint64_t bytes2 = transfer.SendKeyGroup(a, rail, kg2, /*scale=*/2, 0);
   EXPECT_EQ(transfer.in_transit_count(), 2u);
   EXPECT_EQ(transfer.in_transit_count(1), 1u);
 
   transfer.AbortScale(1);
   EXPECT_EQ(transfer.in_transit_count(), 1u);  // scale 2 untouched
   EXPECT_EQ(transfer.in_transit_count(1), 0u);
+  EXPECT_EQ(transfer.staging_bytes(), bytes2);  // scale 1's bytes released
 
   // Both chunk elements are still on the wire; the aborted one must be
   // consumed without installing anything.
@@ -171,6 +180,14 @@ TEST(StateTransferTest, AbortScaleDropsOnlyThatScalesChunks) {
   EXPECT_TRUE(transfer.Install(b, second));
   EXPECT_TRUE(b->state()->OwnsKeyGroup(kg2));
   EXPECT_EQ(transfer.in_transit_count(), 0u);
+  EXPECT_EQ(transfer.staging_bytes(), 0u);
+
+  // Aborting the last in-flight scale leaves nothing staged either.
+  dataflow::KeyGroupId kg3 = *a->state()->owned_key_groups().begin();
+  transfer.SendKeyGroup(a, rail, kg3, /*scale=*/3, 0);
+  EXPECT_GT(transfer.staging_bytes(), 0u);
+  transfer.AbortScale(3);
+  EXPECT_EQ(transfer.staging_bytes(), 0u);
 }
 
 TEST(StateTransferTest, SessionAbortClearsInFlightAccounting) {

@@ -1,14 +1,16 @@
 // Telemetry layer: LogHistogram quantile edge cases (the sampler's latency
 // snapshots lean on them), RingSeries retention and windowed queries, the
-// capacity estimator, TagSet collision handling, and the headline PDES
-// contract — every sampled value, including the CSV export, is a pure
-// function of the job graph and never of --threads.
+// capacity estimator, TagSet collision handling, strict BenchArgs flag
+// parsing, and the headline PDES contract — every sampled value, including
+// the CSV export, is a pure function of the job graph and never of
+// --threads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/bench_workloads.h"
 #include "harness/experiment.h"
@@ -135,6 +137,61 @@ TEST(TagSetDeathTest, ExplicitConflictingTagAborts) {
   tags.Unique("drrs");
   tags.Unique("drrs");  // takes "drrs-2"
   EXPECT_DEATH(tags.Unique("drrs-2"), "tag_collision");
+}
+
+// BenchArgs::Parse rejects what it cannot honour instead of running the
+// sweep without it: exit status 2 and a message naming the flag.
+bench::BenchArgs ParseArgs(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  return bench::BenchArgs::Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, AcceptsEveryKnownFlag) {
+  bench::BenchArgs args = ParseArgs(
+      {"--scale", "0.5", "--no-series", "--faults", "--threads", "3",
+       "--trace=t.json", "--json-summary=s.json", "--telemetry=x.csv",
+       "--mechanism=breaker"});
+  EXPECT_EQ(args.scale, 0.5);
+  EXPECT_FALSE(args.series);
+  EXPECT_TRUE(args.faults);
+  EXPECT_EQ(args.threads, 3u);
+  EXPECT_EQ(args.trace, "t.json");
+  EXPECT_EQ(args.json_summary, "s.json");
+  EXPECT_TRUE(args.telemetry);
+  EXPECT_EQ(args.telemetry_csv, "x.csv");
+  EXPECT_EQ(args.mechanism, "breaker");
+  EXPECT_EQ(ParseArgs({"--threads=4"}).threads, 4u);
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(ParseArgs({"--jsn-summary=x"}), ::testing::ExitedWithCode(2),
+              "--jsn-summary=x");
+  EXPECT_EXIT(ParseArgs({"stray"}), ::testing::ExitedWithCode(2), "stray");
+}
+
+TEST(BenchArgsDeathTest, BadScaleExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "0", "-1", "2x", "nan"}) {
+    EXPECT_EXIT(ParseArgs({"--scale", bad}), ::testing::ExitedWithCode(2),
+                "--scale")
+        << bad;
+  }
+  EXPECT_EXIT(ParseArgs({"--scale"}), ::testing::ExitedWithCode(2),
+              "--scale needs a value");
+}
+
+TEST(BenchArgsDeathTest, BadThreadsExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"--threads=0", "--threads=-2", "--threads=1.5",
+                          "--threads=two", "--threads="}) {
+    EXPECT_EXIT(ParseArgs({bad}), ::testing::ExitedWithCode(2), "--threads")
+        << bad;
+  }
+  EXPECT_EXIT(ParseArgs({"--threads", "0"}), ::testing::ExitedWithCode(2),
+              "--threads");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,17 +6,17 @@ with `--json-summary`, producing one schema-v2 summary per cell (system, or
 workload x system, or grid point). This tool runs the requested campaigns in
 parallel, harvests the per-cell summaries, reduces each to the figure-level
 metrics the perf gate tracks (records/s, mechanism time, p99 latency, ...)
-and appends one history row per figure to `BENCH_fig*.json` at the repo
+and appends one history row per figure to `BENCH_<figure>.json` at the repo
 root — the committed perf-trajectory files that `tools/perf_gate.py
 --figure` diffs against.
 
 Usage:
-    campaign.py --bench-dir build/bench                  # fig02, fig10, fig11
+    campaign.py --bench-dir build/bench                  # fig02, rescale
     campaign.py --figures fig02 --scale 0.05 --no-update # CI smoke
     campaign.py --figures all --jobs 4 --row v10
 
     --out-dir DIR     where raw per-cell summaries land (default: a temp dir)
-    --emit-dir DIR    where BENCH_fig*.json live (default: repo root)
+    --emit-dir DIR    where BENCH_<figure>.json live (default: repo root)
     --row LABEL       history row label (default: "r<N>" = next index)
     --no-update       write candidate files as BENCH_<fig>.candidate.json
                       instead of appending to the committed history (gating)
@@ -48,23 +48,10 @@ FIGURES = {
         "sweep": "twitch x {unbound, otfs-fluid, no-scale}",
         "telemetry": True,
     },
-    "fig10": {
-        "binary": "bench_fig10_latency",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig11": {
-        "binary": "bench_fig11_throughput",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig12": {
-        "binary": "bench_fig12_sync_overhead",
-        "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
-        "telemetry": True,
-    },
-    "fig13": {
-        "binary": "bench_fig13_suspension",
+    # Figs 10-13 are four views of one 8->12 rescale experiment; the
+    # binary runs each cell once and prints all four tables.
+    "rescale": {
+        "binary": "bench_rescale",
         "sweep": "{q7, q8, twitch} x {drrs, megaphone, meces}",
         "telemetry": True,
     },
@@ -85,7 +72,7 @@ FIGURES = {
         "telemetry": True,
     },
 }
-DEFAULT_FIGURES = ["fig02", "fig10", "fig11"]
+DEFAULT_FIGURES = ["fig02", "rescale"]
 
 # The figure-level metrics extracted from each schema-v2 summary. Keep in
 # sync with tools/figure_schema.json and perf_gate.py --figure.
@@ -190,7 +177,7 @@ def emit_trajectory(fig, spec, cells, args):
 
 
 def check_files(paths, schema_path):
-    """Validate BENCH_fig*.json files against tools/figure_schema.json."""
+    """Validate BENCH_<figure>.json files against tools/figure_schema.json."""
     with open(schema_path, encoding="utf-8") as f:
         schema = json.load(f)
     findings = []
@@ -246,7 +233,7 @@ def main():
     parser.add_argument("--out-dir", default=None,
                         help="raw summary/log directory (default: temp dir)")
     parser.add_argument("--emit-dir", default=".",
-                        help="where BENCH_fig*.json live (default: .)")
+                        help="where BENCH_<figure>.json live (default: .)")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2,

@@ -14,7 +14,7 @@ a bench regresses beyond the tolerance band:
     only catches structural slowdowns (an accidental O(n^2), a debug build),
     not scheduler jitter.
 
-Figure mode (--figure): both candidate and baseline are BENCH_fig*.json
+Figure mode (--figure): both candidate and baseline are BENCH_<figure>.json
 trajectory files written by tools/campaign.py; the gate diffs the last
 history row of each, per cell. Unlike the engine benches, figure metrics
 come out of the deterministic simulator — they move only when the *modeled*
@@ -82,7 +82,7 @@ def load_candidate(path):
 
 
 def last_figure_row(path):
-    """Return (figure, cells, row_label) from a BENCH_fig*.json trajectory."""
+    """Return (figure, cells, row_label) from a BENCH_<figure>.json trajectory."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     history = doc.get("history")
@@ -163,7 +163,7 @@ def main():
     parser.add_argument("--baseline", default="BENCH_engine.json",
                         help="committed baseline (default: BENCH_engine.json)")
     parser.add_argument("--figure", action="store_true",
-                        help="gate a BENCH_fig*.json campaign trajectory "
+                        help="gate a BENCH_<figure>.json campaign trajectory "
                              "instead of the engine microbenches")
     parser.add_argument("--fig-tol", type=float, default=0.10,
                         help="relative tolerance band for figure metrics "

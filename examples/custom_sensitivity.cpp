@@ -9,6 +9,8 @@
 //                      [--rate N] [--state-bytes N] [--skew F]
 //                      [--from P] [--to P] [--keygroups N]
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,16 +24,35 @@ using harness::SystemKind;
 
 namespace {
 
-SystemKind ParseSystem(const std::string& name) {
+[[noreturn]] void Reject(const std::string& flag, const std::string& why) {
+  std::fprintf(stderr, "error: %s %s\n", flag.c_str(), why.c_str());
+  std::exit(2);
+}
+
+SystemKind ParseSystem(const char* name) {
   for (SystemKind kind :
        {SystemKind::kDrrs, SystemKind::kDrrsDR, SystemKind::kDrrsSchedule,
         SystemKind::kDrrsSubscale, SystemKind::kMegaphone, SystemKind::kMeces,
         SystemKind::kOtfsFluid, SystemKind::kOtfsAllAtOnce,
         SystemKind::kUnbound, SystemKind::kStopRestart}) {
-    if (name == harness::SystemName(kind)) return kind;
+    if (std::strcmp(name, harness::SystemName(kind)) == 0) return kind;
   }
-  std::fprintf(stderr, "unknown system '%s'\n", name.c_str());
-  std::exit(1);
+  Reject("--system", std::string("got unknown system '") + name + "'");
+}
+
+/// A finite number >= `min`; `integer` also rejects fractions and values
+/// past UINT32_MAX.
+double ParseNumber(const char* flag, const char* text, double min,
+                   bool integer) {
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < min ||
+      (integer && (v != std::floor(v) || v > UINT32_MAX))) {
+    Reject(flag, std::string("wants ") + (integer ? "an integer" : "a number") +
+                     " >= " + std::to_string(static_cast<int>(min)) +
+                     ", got '" + text + "'");
+  }
+  return v;
 }
 
 }  // namespace
@@ -43,18 +64,37 @@ int main(int argc, char** argv) {
   double skew = 0.5;
   uint32_t from_p = 8, to_p = 12, key_groups = 128;
 
+  // Strict parsing: an unknown flag, a missing value or a malformed one
+  // exits 2 naming the flag.
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
+    const std::string flag = argv[i];
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) Reject(flag, "needs a value");
+      return argv[++i];
     };
-    if (const char* v = next("--system")) system = ParseSystem(v);
-    if (const char* v = next("--rate")) rate = std::atof(v);
-    if (const char* v = next("--state-bytes")) state_bytes = std::atoll(v);
-    if (const char* v = next("--skew")) skew = std::atof(v);
-    if (const char* v = next("--from")) from_p = std::atoi(v);
-    if (const char* v = next("--to")) to_p = std::atoi(v);
-    if (const char* v = next("--keygroups")) key_groups = std::atoi(v);
+    auto count = [&](double min) {
+      return static_cast<uint32_t>(
+          ParseNumber(flag.c_str(), value(), min, /*integer=*/true));
+    };
+    if (flag == "--system") {
+      system = ParseSystem(value());
+    } else if (flag == "--rate") {
+      rate = ParseNumber("--rate", value(), 1, /*integer=*/false);
+    } else if (flag == "--state-bytes") {
+      state_bytes = count(0);
+    } else if (flag == "--skew") {
+      skew = ParseNumber("--skew", value(), 0, /*integer=*/false);
+    } else if (flag == "--from") {
+      from_p = count(1);
+    } else if (flag == "--to") {
+      to_p = count(1);
+    } else if (flag == "--keygroups") {
+      key_groups = count(1);
+    } else {
+      Reject(flag,
+             "is not a known flag (known: --system, --rate, --state-bytes, "
+             "--skew, --from, --to, --keygroups; each takes a value)");
+    }
   }
 
   workloads::CustomParams p;

@@ -77,7 +77,9 @@ int main() {
     int64_t total = 0;
     for (const auto& [instance, groups] : data->snapshots) {
       for (const auto& g : groups) {
-        for (const auto& [key, cell] : g.cells) total += cell.counter;
+        g.cells.ForEach([&](dataflow::KeyT, const state::StateCell& cell) {
+          total += cell.counter;
+        });
       }
     }
     std::printf("  checkpoint %llu: %6.2fs -> %6.2fs, %lld records in state\n",

@@ -4,6 +4,8 @@
 //
 //   JobGraph -> ExecutionGraph -> DrrsStrategy::StartScale -> metrics.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,17 +24,40 @@
 
 using namespace drrs;
 
+namespace {
+
+[[noreturn]] void Reject(const char* flag, const std::string& why) {
+  std::fprintf(stderr, "error: %s %s\n", flag, why.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   // `--trace=out.json` exports a Chrome/Perfetto trace of the run. The hook
   // sites only exist in DRRS_TRACE builds; elsewhere the export still works
   // but carries only track metadata. `--threads=N` sizes the partitioned
   // simulation backend's worker pool; output is bit-identical for every N.
+  // An unknown flag or a malformed value exits 2 naming the flag.
   std::string trace_path;
   uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--trace=", 8) == 0) {
+      trace_path = arg + 8;
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      const char* text = arg + 10;
+      char* end = nullptr;
+      errno = 0;
+      long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || errno != 0 || v < 1 ||
+          v > static_cast<long>(UINT32_MAX)) {
+        Reject("--threads",
+               std::string("wants an integer >= 1, got '") + text + "'");
+      }
+      threads = static_cast<uint32_t>(v);
+    } else {
+      Reject(arg, "is not a known flag (known: --trace=<path>, --threads=N)");
     }
   }
 

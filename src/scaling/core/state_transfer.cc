@@ -156,6 +156,16 @@ uint64_t StateTransfer::SendSubKeyGroup(runtime::Task* from,
                  false, proto, priority);
 }
 
+void StateTransfer::Land(runtime::Task* to, state::KeyGroupState state,
+                         bool whole_group) {
+  DRRS_CHECK(to->state() != nullptr);
+  const dataflow::KeyGroupId kg = state.key_group;
+  to->state()->MergeKeyGroup(std::move(state));
+  // Sub-key-group chunks merge cells only; the strategy manages their
+  // (sub-)ownership.
+  if (whole_group) to->state()->AcquireKeyGroup(kg);
+}
+
 bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
   DRRS_CHECK(chunk.kind == ElementKind::kStateChunk);
   auto it = in_transit_.find(chunk.seq);
@@ -192,18 +202,7 @@ bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {
   // in this function, and only on the success path this erase commits to.
   in_transit_.erase(it);
   staging_bytes_ -= transit.chunk.chunk_bytes;
-  DRRS_CHECK(to->state() != nullptr);
-  transit.state.key_group = chunk.key_group;
-  if (transit.whole_group) {
-    to->state()->InstallKeyGroup(std::move(transit.state));
-  } else {
-    // Merge cells only; the caller manages (sub-)ownership. Each key lands
-    // in its own cell, so the merge commutes.
-    // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge.
-    for (auto& [key, cell] : transit.state.cells) {
-      *to->state()->GetOrCreate(chunk.key_group, key) = std::move(cell);
-    }
-  }
+  Land(to, std::move(transit.state), transit.whole_group);
   if (policy_.enabled) installed_.insert(chunk.seq);
   DRRS_AUDIT_CALL(to->simulator()->auditor(), OnChunkInstalled(chunk, to->id()));
   DRRS_TRACE_CALL(to->simulator()->tracer(),
@@ -227,17 +226,8 @@ size_t StateTransfer::ForceComplete(dataflow::ScaleId scale,
     it = in_transit_.erase(it);
     staging_bytes_ -= transit.chunk.chunk_bytes;
     runtime::Task* to = graph->task(transit.to);
-    DRRS_CHECK(to != nullptr && to->state() != nullptr);
-    transit.state.key_group = transit.chunk.key_group;
-    if (transit.whole_group) {
-      to->state()->InstallKeyGroup(std::move(transit.state));
-    } else {
-      // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge.
-      for (auto& [key, cell] : transit.state.cells) {
-        *to->state()->GetOrCreate(transit.chunk.key_group, key) =
-            std::move(cell);
-      }
-    }
+    DRRS_CHECK(to != nullptr);
+    Land(to, std::move(transit.state), transit.whole_group);
     // The chunk element (original or retransmitted copy) may still float on
     // the wire; remember the id so arrival drops it instead of double-
     // installing.

@@ -1,6 +1,5 @@
 #include "state/keyed_state.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,6 +9,19 @@ namespace drrs::state {
 // ---------------------------------------------------------------------------
 // GroupStore
 // ---------------------------------------------------------------------------
+
+GroupStore::GroupStore(const GroupStore& other)
+    : slot_keys_(other.slot_keys_),
+      slot_live_(other.slot_live_),
+      free_slots_(other.free_slots_),
+      index_(other.index_),
+      size_(other.size_),
+      used_(other.used_) {
+  slabs_.reserve(other.slabs_.size());
+  for (const auto& slab : other.slabs_) {
+    slabs_.push_back(std::make_unique<Slab>(*slab));
+  }
+}
 
 void GroupStore::Rehash(size_t new_cap) {
   index_.assign(new_cap, IndexEntry{});
@@ -98,16 +110,6 @@ bool GroupStore::Erase(dataflow::KeyT key) {
   }
 }
 
-void GroupStore::Clear() {
-  slabs_.clear();
-  slot_keys_.clear();
-  slot_live_.clear();
-  free_slots_.clear();
-  index_.clear();
-  size_ = 0;
-  used_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // KeyedStateBackend
 // ---------------------------------------------------------------------------
@@ -163,12 +165,7 @@ void KeyedStateBackend::DebugRecount() const {
 KeyGroupState KeyedStateBackend::ExtractKeyGroup(dataflow::KeyGroupId kg) {
   DRRS_CHECK(kg < num_key_groups_);
   FlushAccounting();
-  KeyGroupState out;
-  out.key_group = kg;
-  groups_[kg].ForEach([&](dataflow::KeyT key, StateCell& cell) {
-    out.cells.emplace(key, std::move(cell));
-  });
-  groups_[kg].Clear();
+  KeyGroupState out{kg, std::exchange(groups_[kg], GroupStore{})};
   group_bytes_[kg] = 0;
   owned_.erase(kg);
   return out;
@@ -187,24 +184,31 @@ KeyGroupState KeyedStateBackend::ExtractSubKeyGroup(dataflow::KeyGroupId kg,
   g.ForEach([&](dataflow::KeyT key, StateCell& cell) {
     if (HashKey(key ^ 0x5BD1E995) % fanout != sub) return;
     group_bytes_[kg] -= cell.nominal_bytes;
-    out.cells.emplace(key, std::move(cell));
+    *out.cells.FindOrInsert(key).first = std::move(cell);
     moved.push_back(key);
   });
   for (dataflow::KeyT key : moved) g.Erase(key);
   return out;
 }
 
-void KeyedStateBackend::InstallKeyGroup(KeyGroupState state) {
+void KeyedStateBackend::MergeKeyGroup(KeyGroupState state) {
   DRRS_CHECK(state.key_group < num_key_groups_);
   FlushAccounting();
   GroupStore& g = groups_[state.key_group];
   uint64_t& bytes = group_bytes_[state.key_group];
-  // Per-key moves into distinct cells plus sum-folded byte counters;
-  // commutative, so the final backend state does not depend on visit order
-  // (slot numbering may differ, but slots are an internal layout detail
-  // never observable in events or metrics).
-  // NOLINTNEXTLINE(drrs-unordered-iteration): commutative per-key merge + sum folds.
-  for (auto& [key, cell] : state.cells) {
+  if (g.empty()) {
+    // Nothing in the (just flushed) journal points into an empty group:
+    // the arriving store replaces it whole, and only its cells' accounting
+    // fields are re-baselined against this backend.
+    g = std::move(state.cells);
+    g.ForEach([&](dataflow::KeyT, StateCell& cell) {
+      cell.acct_bytes = cell.nominal_bytes;
+      cell.journaled = false;
+      bytes += cell.nominal_bytes;
+    });
+    return;
+  }
+  state.cells.ForEach([&](dataflow::KeyT key, StateCell& cell) {
     auto [dst, inserted] = g.FindOrInsert(key);
     if (!inserted) bytes -= dst->nominal_bytes;
     bool was_journaled = dst->journaled;  // journal entry survives the move
@@ -212,8 +216,7 @@ void KeyedStateBackend::InstallKeyGroup(KeyGroupState state) {
     dst->acct_bytes = dst->nominal_bytes;
     dst->journaled = was_journaled;
     bytes += dst->nominal_bytes;
-  }
-  owned_.insert(state.key_group);
+  });
 }
 
 uint64_t KeyedStateBackend::KeyGroupBytes(dataflow::KeyGroupId kg) const {
@@ -226,14 +229,12 @@ uint64_t KeyedStateBackend::TotalBytes() const {
   FlushAccounting();
   if (debug_recount_) DebugRecount();
   uint64_t total = 0;
-  // NOLINTNEXTLINE(drrs-unordered-iteration): pure sum fold; order-independent.
   for (dataflow::KeyGroupId kg : owned_) total += group_bytes_[kg];
   return total;
 }
 
 uint64_t KeyedStateBackend::TotalKeys() const {
   uint64_t total = 0;
-  // NOLINTNEXTLINE(drrs-unordered-iteration): pure sum fold; order-independent.
   for (dataflow::KeyGroupId kg : owned_) total += groups_[kg].size();
   return total;
 }
@@ -241,32 +242,22 @@ uint64_t KeyedStateBackend::TotalKeys() const {
 std::vector<KeyGroupState> KeyedStateBackend::Snapshot() const {
   std::vector<KeyGroupState> out;
   out.reserve(owned_.size());
-  // Snapshot in ascending key-group order: the vector is handed to
-  // checkpoint storage and replayed by Restore, so its order should be a
-  // function of the owned set alone, not of hash-bucket layout.
-  std::vector<dataflow::KeyGroupId> sorted_kgs(owned_.begin(), owned_.end());
-  std::sort(sorted_kgs.begin(), sorted_kgs.end());
-  for (dataflow::KeyGroupId kg : sorted_kgs) {
-    KeyGroupState s;
-    s.key_group = kg;
-    groups_[kg].ForEach([&](dataflow::KeyT key, const StateCell& cell) {
-      s.cells.emplace(key, cell);  // deep copy
-    });
-    out.push_back(std::move(s));
+  // Ascending key-group order (owned_ is ordered): the vector is handed to
+  // checkpoint storage and replayed by Restore.
+  for (dataflow::KeyGroupId kg : owned_) {
+    out.push_back(KeyGroupState{kg, groups_[kg]});  // deep copy
   }
   return out;
 }
 
 void KeyedStateBackend::DropAllCells() {
   touched_.clear();  // pointers below are about to be invalidated
-  for (auto& g : groups_) g.Clear();
+  for (auto& g : groups_) g = GroupStore{};
   for (auto& b : group_bytes_) b = 0;
 }
 
 void KeyedStateBackend::Restore(std::vector<KeyGroupState> snapshot) {
-  touched_.clear();  // pointers below are about to be invalidated
-  for (auto& g : groups_) g.Clear();
-  for (auto& b : group_bytes_) b = 0;
+  DropAllCells();
   owned_.clear();
   for (auto& s : snapshot) InstallKeyGroup(std::move(s));
 }

@@ -4,8 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -43,19 +42,6 @@ struct StateCell {
   }
 };
 
-/// State of one key-group, the atomic migration unit.
-struct KeyGroupState {
-  dataflow::KeyGroupId key_group = 0;
-  std::unordered_map<dataflow::KeyT, StateCell> cells;
-
-  uint64_t TotalBytes() const {
-    uint64_t total = 0;
-    // lint:allow(unordered-iteration): pure sum fold; order-independent.
-    for (const auto& [key, cell] : cells) total += cell.nominal_bytes;
-    return total;
-  }
-};
-
 /// \brief Hash-indexed cell store of one key-group, laid out as parallel
 /// arrays (struct-of-arrays) for the lookup-hot data.
 ///
@@ -70,6 +56,13 @@ struct KeyGroupState {
 /// freshly filled store visits keys in insertion order deterministically.
 class GroupStore {
  public:
+  GroupStore() = default;
+  /// Deep copy (checkpoint snapshots): the copy owns its own slabs.
+  GroupStore(const GroupStore& other);
+  /// A moved-from store may only be assigned to or destroyed.
+  GroupStore(GroupStore&&) noexcept = default;
+  GroupStore& operator=(GroupStore&&) noexcept = default;
+
   StateCell* Find(dataflow::KeyT key) {
     if (size_ == 0) return nullptr;
     const size_t mask = index_.size() - 1;
@@ -92,9 +85,6 @@ class GroupStore {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  /// Drop every cell and the index; slabs are released too.
-  void Clear();
 
   /// Visit live cells in slot (allocation) order as fn(key, cell).
   template <typename Fn>
@@ -137,6 +127,21 @@ class GroupStore {
   size_t used_ = 0;  ///< live + tombstoned index entries
 };
 
+/// State of one key-group, the atomic migration unit: the group's own cell
+/// store, moved out of the sending backend and into the receiving one.
+struct KeyGroupState {
+  dataflow::KeyGroupId key_group = 0;
+  GroupStore cells;
+
+  uint64_t TotalBytes() const {
+    uint64_t total = 0;
+    cells.ForEach([&](dataflow::KeyT, const StateCell& cell) {
+      total += cell.nominal_bytes;
+    });
+    return total;
+  }
+};
+
 /// \brief Keyed state of one task instance, partitioned by key-group.
 ///
 /// Mirrors Flink's keyed state backend at the granularity the scaling
@@ -159,7 +164,8 @@ class KeyedStateBackend {
   bool OwnsKeyGroup(dataflow::KeyGroupId kg) const {
     return owned_.count(kg) > 0;
   }
-  const std::unordered_set<dataflow::KeyGroupId>& owned_key_groups() const {
+  /// Owned key-groups in ascending id order.
+  const std::set<dataflow::KeyGroupId>& owned_key_groups() const {
     return owned_;
   }
 
@@ -171,11 +177,7 @@ class KeyedStateBackend {
   /// Returns null when the key has no state yet.
   StateCell* Get(dataflow::KeyGroupId kg, dataflow::KeyT key);
 
-  bool HasAnyState(dataflow::KeyGroupId kg) const {
-    return !groups_[kg].empty();
-  }
-
-  /// Move out the full state of a key-group (ownership is released).
+  /// Move out a key-group's whole store in O(1) (ownership is released).
   KeyGroupState ExtractKeyGroup(dataflow::KeyGroupId kg);
 
   /// Move out only the keys of `kg` whose sub-key-group (hash % fanout) is
@@ -184,9 +186,18 @@ class KeyedStateBackend {
   KeyGroupState ExtractSubKeyGroup(dataflow::KeyGroupId kg, uint32_t sub,
                                    uint32_t fanout);
 
-  /// Merge a migrated key-group (or sub-key-group) into this backend and mark
-  /// it owned.
-  void InstallKeyGroup(KeyGroupState state);
+  /// Merge migrated cells of a key-group (or sub-key-group) into this
+  /// backend without touching ownership. An empty group takes the store
+  /// over whole; otherwise the cells merge per key in slot order, each
+  /// replacing any cell already held for its key.
+  void MergeKeyGroup(KeyGroupState state);
+
+  /// MergeKeyGroup, then mark the key-group owned.
+  void InstallKeyGroup(KeyGroupState state) {
+    const dataflow::KeyGroupId kg = state.key_group;
+    MergeKeyGroup(std::move(state));
+    AcquireKeyGroup(kg);
+  }
 
   /// Visit every key currently stored in `kg` (slot order: insertion order
   /// until keys are erased). The callback must not mutate the backend's key
@@ -238,7 +249,7 @@ class KeyedStateBackend {
 
   uint32_t num_key_groups_;
   std::vector<GroupStore> groups_;
-  std::unordered_set<dataflow::KeyGroupId> owned_;
+  std::set<dataflow::KeyGroupId> owned_;
 
   /// Accounted bytes per key-group (valid after FlushAccounting).
   mutable std::vector<uint64_t> group_bytes_;

@@ -496,6 +496,31 @@ TEST(StateAccounting, SurvivesExtractInstallRoundTrip) {
   EXPECT_EQ(b.TotalBytes(), kg1_bytes - 255);
 }
 
+TEST(StateAccounting, SubKeyGroupMergeCountsArrivingCells) {
+  // Meces-style sub-key-group chunks merge into a group the receiver may
+  // already hold cells of; both the new and the replaced cells must show up
+  // in the counters (the debug recount aborts on any drift).
+  state::KeyedStateBackend a(1);
+  state::KeyedStateBackend b(1);
+  a.set_debug_recount(true);
+  b.set_debug_recount(true);
+  a.AcquireKeyGroup(0);
+  b.AcquireKeyGroup(0);
+  for (uint64_t key = 0; key < 32; ++key) {
+    a.GetOrCreate(0, key)->nominal_bytes = 100;
+  }
+  b.GetOrCreate(0, 0)->nominal_bytes = 7;
+  b.GetOrCreate(0, 1000)->nominal_bytes = 7;
+  for (uint32_t sub = 0; sub < 4; ++sub) {
+    b.MergeKeyGroup(a.ExtractSubKeyGroup(0, sub, 4));
+    b.TotalBytes();  // recount check after every merge
+  }
+  // Key 0 arrived over b's own cell for it; key 1000 stayed.
+  EXPECT_EQ(b.TotalBytes(), 32u * 100 + 7);
+  EXPECT_EQ(b.TotalKeys(), 33u);
+  EXPECT_EQ(a.TotalKeys(), 0u);
+}
+
 TEST(StateAccounting, SubKeyGroupExtractAndRestore) {
   state::KeyedStateBackend backend(2);
   backend.set_debug_recount(true);

@@ -422,63 +422,84 @@ void AppendDouble(std::string* out, double v) {
   *out += buf;
 }
 
+// Every piece is a separate append: GCC 12 raises a -Werror=restrict false
+// positive on `std::to_string(x) + "..."` temporaries chained into `+=`.
 std::string SerializeHub(const MetricsHub& hub) {
   std::string out = "{\"latency\":[";
   for (const auto& s : hub.latency_ms().samples()) {
-    out += std::to_string(s.time) + ":";
+    out += std::to_string(s.time);
+    out += ":";
     AppendDouble(&out, s.value);
     out += ",";
   }
   out += "],\"latency_hist\":";
-  out += std::to_string(hub.latency_histogram().count()) + "/";
+  out += std::to_string(hub.latency_histogram().count());
+  out += "/";
   AppendDouble(&out, hub.latency_histogram().mean());
   out += "/";
   AppendDouble(&out, hub.latency_histogram().Quantile(0.99));
   out += ",\"state_bytes\":[";
   for (const auto& s : hub.state_bytes().samples()) {
-    out += std::to_string(s.time) + ":";
+    out += std::to_string(s.time);
+    out += ":";
     AppendDouble(&out, s.value);
     out += ",";
   }
-  out += "],\"source_total\":" + std::to_string(hub.source_rate().total());
-  out += ",\"sink_total\":" + std::to_string(hub.sink_rate().total());
+  out += "],\"source_total\":";
+  out += std::to_string(hub.source_rate().total());
+  out += ",\"sink_total\":";
+  out += std::to_string(hub.sink_rate().total());
   out += ",\"source_series\":[";
   const TimeSeries source_series = hub.source_rate().ToRateSeries();
   for (const auto& s : source_series.samples()) {
-    out += std::to_string(s.time) + ":";
+    out += std::to_string(s.time);
+    out += ":";
     AppendDouble(&out, s.value);
     out += ",";
   }
   out += "],\"scaling\":";
-  out += std::to_string(hub.scaling().CumulativePropagationDelay()) + "/";
+  out += std::to_string(hub.scaling().CumulativePropagationDelay());
+  out += "/";
   AppendDouble(&out, hub.scaling().AverageDependencyOverheadUs());
-  out += "/" + std::to_string(hub.scaling().CumulativeSuspension());
+  out += "/";
+  out += std::to_string(hub.scaling().CumulativeSuspension());
   out += ",\"suspension\":[";
   const TimeSeries suspension_series = hub.scaling().SuspensionSeries();
   for (const auto& s : suspension_series.samples()) {
-    out += std::to_string(s.time) + ":";
+    out += std::to_string(s.time);
+    out += ":";
     AppendDouble(&out, s.value);
     out += ",";
   }
   out += "],\"transfers\":";
   const auto stats = hub.scaling().UnitTransferStats();
-  out += std::to_string(stats.units) + "/" +
-         std::to_string(stats.total_transfers) + "/" +
-         std::to_string(stats.max_transfers);
+  out += std::to_string(stats.units);
+  out += "/";
+  out += std::to_string(stats.total_transfers);
+  out += "/";
+  out += std::to_string(stats.max_transfers);
   for (int r = 0; r < 3; ++r) {
     const auto& h = hub.scaling().StallHistogram(static_cast<StallReason>(r));
-    out += ",\"stall" + std::to_string(r) + "\":";
-    out += std::to_string(h.count()) + "/";
+    out += ",\"stall";
+    out += std::to_string(r);
+    out += "\":";
+    out += std::to_string(h.count());
+    out += "/";
     AppendDouble(&out, h.mean());
   }
-  out += ",\"invariants\":" +
-         std::to_string(hub.invariants().order_violations) + "/" +
-         std::to_string(hub.invariants().state_miss_processing) + "/" +
-         std::to_string(hub.invariants().duplicate_processing);
-  out += ",\"recovery\":" +
-         std::to_string(hub.recovery().chunk_retransmits) + "/" +
-         std::to_string(hub.recovery().scale_aborts) + "/" +
-         std::to_string(hub.recovery().crash_recoveries) + "}";
+  out += ",\"invariants\":";
+  out += std::to_string(hub.invariants().order_violations);
+  out += "/";
+  out += std::to_string(hub.invariants().state_miss_processing);
+  out += "/";
+  out += std::to_string(hub.invariants().duplicate_processing);
+  out += ",\"recovery\":";
+  out += std::to_string(hub.recovery().chunk_retransmits);
+  out += "/";
+  out += std::to_string(hub.recovery().scale_aborts);
+  out += "/";
+  out += std::to_string(hub.recovery().crash_recoveries);
+  out += "}";
   return out;
 }
 

@@ -186,7 +186,9 @@ TEST(Checkpoint, CompletesAndSnapshotsState) {
   int64_t counted = 0;
   for (const auto& [instance, groups] : data->snapshots) {
     for (const auto& g : groups) {
-      for (const auto& [key, cell] : g.cells) counted += cell.counter;
+      g.cells.ForEach([&](dataflow::KeyT, const state::StateCell& cell) {
+        counted += cell.counter;
+      });
     }
   }
   EXPECT_GT(counted, 0);
@@ -208,7 +210,9 @@ TEST(Checkpoint, RestoreRoundTrip) {
   ASSERT_NE(it, data->snapshots.end());
   int64_t snapshot_total = 0;
   for (const auto& g : it->second) {
-    for (const auto& [key, cell] : g.cells) snapshot_total += cell.counter;
+    g.cells.ForEach([&](dataflow::KeyT, const state::StateCell& cell) {
+      snapshot_total += cell.counter;
+    });
   }
   agg0->state()->Restore(it->second);
   int64_t restored_total = 0;
@@ -257,7 +261,7 @@ TEST(Checkpoint, RestoreAfterMutationIsBitIdentical) {
     agg0->state()->ForEachKey(g.key_group,
                               [&](dataflow::KeyT) { ++live_keys; });
     EXPECT_EQ(live_keys, g.cells.size()) << "kg " << g.key_group;
-    for (const auto& [key, cell] : g.cells) {
+    g.cells.ForEach([&](dataflow::KeyT key, const state::StateCell& cell) {
       const state::StateCell* live = agg0->state()->Get(g.key_group, key);
       ASSERT_NE(live, nullptr) << "kg " << g.key_group << " key " << key;
       EXPECT_EQ(live->counter, cell.counter);
@@ -265,7 +269,7 @@ TEST(Checkpoint, RestoreAfterMutationIsBitIdentical) {
       EXPECT_EQ(live->last_value, cell.last_value);
       EXPECT_EQ(live->windows, cell.windows);
       EXPECT_EQ(live->nominal_bytes, cell.nominal_bytes);
-    }
+    });
   }
 }
 

@@ -86,6 +86,9 @@ DECISION_PATH_DIRS = (
     # CSV/JSON artifacts, so any wall-clock or iteration-order hazard here
     # breaks byte-identity across --threads.
     "src/telemetry",
+    # Operators: their state walks decide the order in which results are
+    # emitted downstream.
+    "src/workloads",
 )
 CXX_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
 

@@ -451,6 +451,7 @@ void Task::HandleWatermark(net::Channel* channel, sim::SimTime wm) {
 }
 
 void Task::MergeSideWatermark(dataflow::InstanceId from, sim::SimTime wm) {
+  if (side_senders_.count(from) == 0) return;
   sim::SimTime& cur = side_watermarks_[from];
   cur = std::max(cur, wm);
   RecomputeWatermark();
@@ -483,6 +484,7 @@ void Task::RecomputeWatermark() {
 
 void Task::ClearSideWatermark(dataflow::InstanceId from) {
   side_watermarks_.erase(from);
+  side_senders_.erase(from);
   RecomputeWatermark();
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -183,12 +184,19 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// suspension").
   void ProcessRecordDirect(const dataflow::StreamElement& record);
 
+  /// Accept side watermarks from `from` (its scaling rail to us opened).
+  /// Sets no value; the first watermark over the rail does.
+  void RegisterSideSender(dataflow::InstanceId from) {
+    side_senders_.insert(from);
+  }
+
   /// Deliver a watermark value observed via a side path (scaling channels),
-  /// merged per `from` sender id.
+  /// merged per `from` sender id. Dropped unless `from` is registered, so a
+  /// watermark left queued on a released rail cannot pin ours for good.
   void MergeSideWatermark(dataflow::InstanceId from, sim::SimTime wm);
 
   /// Remove the side-watermark constraint from `from` (its scaling path
-  /// completed) and re-derive the operator watermark.
+  /// completed), unregister it, and re-derive the operator watermark.
   void ClearSideWatermark(dataflow::InstanceId from);
 
   // ---- checkpointing (invoked by CheckpointCoordinator / sources) ----
@@ -287,6 +295,8 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// Ordered map: RecomputeWatermark iterates it, and InstanceId keys give a
   /// deterministic order (pointer-keyed containers would not under ASLR).
   std::map<dataflow::InstanceId, sim::SimTime> side_watermarks_;
+  /// Senders whose side watermarks are accepted (see RegisterSideSender).
+  std::set<dataflow::InstanceId> side_senders_;
   sim::SimTime operator_watermark_ = -1;
   void RecomputeWatermark();
 

@@ -17,6 +17,7 @@ net::Channel* ScalingRails::Open(runtime::Task* from, runtime::Task* to,
   std::vector<net::Channel*>& rails = by_source_[from->id()];
   if (std::find(rails.begin(), rails.end(), rail) == rails.end()) {
     rails.push_back(rail);
+    to->RegisterSideSender(from->id());
     DRRS_TRACE_CALL(graph_->sim()->tracer(),
                     OnRailSeeded(from->id(), to->id()));
     if (seed_watermark) SeedWatermark(rail, from);

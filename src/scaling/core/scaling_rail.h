@@ -15,11 +15,13 @@ namespace drrs::scaling {
 /// A rail is an ordered channel between two instances of the scaled operator
 /// carrying state chunks, re-routed records, re-routed confirm barriers and
 /// kScaleComplete teardown markers. Opening a rail registers it for
-/// watermark forwarding and (optionally) seeds the receiver's *side
-/// watermark* with the sender's current operator watermark, so the receiver
-/// cannot fire event-time windows ahead of in-flight state and re-routed
-/// records ("duplicated to both input streams", Section III-A). Releasing a
-/// rail clears that constraint.
+/// watermark forwarding, registers the sender at the receiver, and
+/// (optionally) seeds the receiver's *side watermark* with the sender's
+/// current operator watermark, so the receiver cannot fire event-time
+/// windows ahead of in-flight state and re-routed records ("duplicated to
+/// both input streams", Section III-A). Releasing a rail clears that
+/// constraint and unregisters the sender, so watermarks still queued on the
+/// rail are dropped on arrival.
 class ScalingRails {
  public:
   explicit ScalingRails(runtime::ExecutionGraph* graph) : graph_(graph) {}
@@ -28,8 +30,9 @@ class ScalingRails {
   ScalingRails& operator=(const ScalingRails&) = delete;
 
   /// Get-or-create the rail `from` -> `to` and register it for watermark
-  /// forwarding. When the rail is newly opened and `seed_watermark` is set,
-  /// the receiver's side watermark is seeded immediately.
+  /// forwarding. A newly opened rail registers `from` at `to` as a side
+  /// sender and, when `seed_watermark` is set, seeds the receiver's side
+  /// watermark immediately.
   net::Channel* Open(runtime::Task* from, runtime::Task* to,
                      bool seed_watermark = true);
 

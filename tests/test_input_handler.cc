@@ -174,6 +174,7 @@ TEST_F(InputHandlerTest, WatermarkRequiresAllChannels) {
 
 TEST_F(InputHandlerTest, SideWatermarkHoldsOperatorWatermark) {
   net::Channel* a = AddChannel(100);
+  task_->RegisterSideSender(50);  // what opening a rail from 50 does
   task_->MergeSideWatermark(/*from=*/50, sim::Seconds(2));
   a->Push(dataflow::MakeWatermark(sim::Seconds(10)));
   sim_.RunUntilIdle();
@@ -189,6 +190,7 @@ TEST_F(InputHandlerTest, ScalingPathWatermarksGoToSideMap) {
   net::Channel* a = AddChannel(100);
   net::Channel* rail = AddChannel(200);
   rail->set_scaling_path(true);
+  task_->RegisterSideSender(rail->sender_id());
   // The side constraint must be in place before the regular watermark (the
   // strategies seed it at subscale launch); operator watermarks are
   // monotonic, so a late side watermark cannot lower an already-advanced
@@ -203,6 +205,30 @@ TEST_F(InputHandlerTest, ScalingPathWatermarksGoToSideMap) {
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(4));
   task_->ClearSideWatermark(200);
   EXPECT_EQ(task_->current_watermark(), sim::Seconds(9));
+}
+
+TEST_F(InputHandlerTest, LateRailWatermarkAfterReleaseIsDropped) {
+  // A watermark forwarded before the rail was released can still be queued
+  // on it; arriving after the release it must not re-create the constraint.
+  net::Channel* a = AddChannel(100);
+  net::Channel* rail = AddChannel(200);
+  rail->set_scaling_path(true);
+  task_->RegisterSideSender(rail->sender_id());
+  StreamElement w = dataflow::MakeWatermark(sim::Seconds(4));
+  w.from_instance = 200;
+  rail->Push(w);
+  sim_.RunUntilIdle();
+  task_->ClearSideWatermark(rail->sender_id());
+  rail->Push(w);  // the stale one
+  sim_.RunUntilIdle();
+  a->Push(dataflow::MakeWatermark(sim::Seconds(9)));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(task_->current_watermark(), sim::Seconds(9));
+  // An unregistered sender is ignored outright.
+  task_->MergeSideWatermark(/*from=*/77, sim::Seconds(1));
+  a->Push(dataflow::MakeWatermark(sim::Seconds(12)));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(task_->current_watermark(), sim::Seconds(12));
 }
 
 TEST_F(InputHandlerTest, SuspensionMemoStillWakesOnNewHead) {

@@ -16,6 +16,16 @@ using dataflow::StreamElement;
 namespace {
 /// Wire envelope for a state chunk even when the key-group is empty.
 constexpr uint64_t kChunkEnvelopeBytes = 256;
+
+/// Merge transferred cells into `to` (wire arrival or forced install).
+/// Whole key-groups also acquire ownership; sub-key-group chunks merge cells
+/// only, and the strategy manages their (sub-)ownership.
+void Land(runtime::Task* to, state::KeyGroupState state, bool whole_group) {
+  DRRS_CHECK(to->state() != nullptr);
+  const dataflow::KeyGroupId kg = state.key_group;
+  to->state()->MergeKeyGroup(std::move(state));
+  if (whole_group) to->state()->AcquireKeyGroup(kg);
+}
 }  // namespace
 
 sim::SimTime ChunkRetryBackoff(const ChunkRetryPolicy& policy,
@@ -154,16 +164,6 @@ uint64_t StateTransfer::SendSubKeyGroup(runtime::Task* from,
   proto.sub_key_group = sub;
   return Enqueue(from, rail, from->state()->ExtractSubKeyGroup(kg, sub, fanout),
                  false, proto, priority);
-}
-
-void StateTransfer::Land(runtime::Task* to, state::KeyGroupState state,
-                         bool whole_group) {
-  DRRS_CHECK(to->state() != nullptr);
-  const dataflow::KeyGroupId kg = state.key_group;
-  to->state()->MergeKeyGroup(std::move(state));
-  // Sub-key-group chunks merge cells only; the strategy manages their
-  // (sub-)ownership.
-  if (whole_group) to->state()->AcquireKeyGroup(kg);
 }
 
 bool StateTransfer::Install(runtime::Task* to, const StreamElement& chunk) {

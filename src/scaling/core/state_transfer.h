@@ -111,11 +111,6 @@ class StateTransfer {
   void ArmAckTimer(uint64_t id);
   void OnAckTimeout(uint64_t id);
 
-  /// Merge transferred cells into `to` (wire arrival or forced install);
-  /// whole key-groups also acquire ownership.
-  static void Land(runtime::Task* to, state::KeyGroupState state,
-                   bool whole_group);
-
   uint64_t next_id_ = 1;
   struct Transit {
     state::KeyGroupState state;

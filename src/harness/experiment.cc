@@ -351,6 +351,7 @@ ExperimentResult RunExperiment(const workloads::WorkloadSpec& workload,
   result.source_records = hub->source_rate().total();
   result.sink_records = hub->sink_rate().total();
   result.executed_events = engine.ExecutedEvents();
+  result.elided_events = engine.ElidedEvents();
   runtime::ExecutionGraph::DeliveryStats delivery = graph.TotalDeliveryStats();
   result.delivered_elements = delivery.elements;
   result.delivered_batches = delivery.batches;

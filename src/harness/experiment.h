@@ -141,6 +141,9 @@ struct ExperimentResult {
   uint64_t source_records = 0;
   uint64_t sink_records = 0;
   uint64_t executed_events = 0;
+  /// Idle-task re-arms elided instead of executed (sim::Simulator::
+  /// elided_events summed over partitions).
+  uint64_t elided_events = 0;
   /// Wire-delivery totals across all channels: batched delivery compresses
   /// `delivered_elements` records into `delivered_batches` receiver
   /// notifications (batches <= elements; the ratio is the mean batch size).

@@ -305,6 +305,8 @@ std::string JsonSummary(const ExperimentResult& result) {
   AppendU64(&out, "sink_records", result.sink_records);
   out += ',';
   AppendU64(&out, "executed_events", result.executed_events);
+  out += ',';
+  AppendU64(&out, "elided_events", result.elided_events);
   out += "}\n";
   return out;
 }

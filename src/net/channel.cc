@@ -43,23 +43,34 @@ Channel::Channel(sim::Simulator* sim, const NetworkConfig& config,
 void Channel::Push(StreamElement element) {
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
   output_queue_.push_back(std::move(element));
-  if (congested() && !congestion_latched_) {
-    congestion_latched_ = true;
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnBackpressureOnset(sender_id_, receiver_id_));
-  }
+  LatchCongestion();
+  NotifyCongestionOnset();
   TryTransmit();
 }
 
 void Channel::PushPriority(StreamElement element) {
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
   output_queue_.push_front(std::move(element));
+  LatchCongestion();
+  NotifyCongestionOnset();
+  TryTransmit();
+}
+
+void Channel::LatchCongestion() {
   if (congested() && !congestion_latched_) {
     congestion_latched_ = true;
     DRRS_TRACE_CALL(sim_->tracer(),
                     OnBackpressureOnset(sender_id_, receiver_id_));
   }
-  TryTransmit();
+}
+
+void Channel::NotifyCongestionOnset() {
+  // Called after the cache grew by one element, so congested() just turned
+  // true exactly when the cache sits at capacity.
+  if (sender_task_ != nullptr &&
+      output_queue_.size() == config_.output_buffer_capacity) {
+    sender_task_->OnOutputCongested(this);
+  }
 }
 
 void Channel::PushBypass(StreamElement element) {
@@ -174,6 +185,7 @@ bool Channel::InsertAfterFirst(
   for (size_t i = 0; i < output_queue_.size(); ++i) {
     if (match(output_queue_[i])) {
       output_queue_.insert(i + 1, std::move(element));
+      NotifyCongestionOnset();
       return true;
     }
   }

@@ -70,6 +70,15 @@ class ChannelReceiver {
                                const dataflow::StreamElement& element) = 0;
 };
 
+/// Sender-side callback, implemented by runtime::Task.
+class ChannelSender {
+ public:
+  virtual ~ChannelSender() = default;
+
+  /// The output cache just reached capacity: congested() turned true.
+  virtual void OnOutputCongested(Channel* channel) = 0;
+};
+
 /// \brief Simulated point-to-point stream between two task instances.
 ///
 /// Structure mirrors the paper's model of a Flink connection:
@@ -112,6 +121,10 @@ class Channel {
   /// data elements are treated as eagerly consumable re-routed events.
   void set_scaling_path(bool v) { scaling_path_ = v; }
   bool scaling_path() const { return scaling_path_; }
+
+  /// The task whose output cache this is; told of each congestion onset.
+  /// Null (the default) when no sender listens.
+  void set_sender(ChannelSender* sender) { sender_task_ = sender; }
 
   // ---- sender side ----
 
@@ -264,6 +277,10 @@ class Channel {
     dataflow::StreamElement element;
   };
 
+  /// Latch (and trace) backpressure once the output cache is congested.
+  void LatchCongestion();
+  /// Tell the sender when a one-element growth made the cache congested.
+  void NotifyCongestionOnset();
   void TryTransmit();
   void DeliverDueBatch();
   void MaybeFireDecongest();
@@ -288,6 +305,7 @@ class Channel {
   dataflow::InstanceId sender_id_;
   dataflow::InstanceId receiver_id_;
   ChannelReceiver* receiver_task_;
+  ChannelSender* sender_task_ = nullptr;
 
   ElementQueue output_queue_;
   ElementQueue input_queue_;

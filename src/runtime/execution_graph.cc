@@ -265,6 +265,7 @@ net::Channel* ExecutionGraph::CreateChannel(Task* from, Task* to) {
   channels_.push_back(std::make_unique<net::Channel>(
       sender_sim, config_.net, from->id(), to->id(), to));
   net::Channel* ch = channels_.back().get();
+  ch->set_sender(from);
   const uint32_t pf = partition_of(from->op());
   const uint32_t pt = partition_of(to->op());
   if (pf != pt) {

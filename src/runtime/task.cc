@@ -102,7 +102,8 @@ Task::Task(sim::Simulator* sim, const dataflow::OperatorSpec& spec,
       key_space_(key_space),
       hub_(hub),
       check_invariants_(check_invariants),
-      input_handler_(MakeDefaultInputHandler()) {
+      input_handler_(MakeDefaultInputHandler()),
+      rearm_slot_(sim->NewReservationSlot()) {
   if (spec_.factory) {
     operator_ = spec_.factory();
   }
@@ -260,15 +261,21 @@ void Task::ConsumeProcessingTime(sim::SimTime d) {
 void Task::MaybeSchedule() {
   if (run_scheduled_ || frozen_ || crashed_) return;
   run_scheduled_ = true;
+  if (sim_->Redeem(rearm_slot_, &Task::RunEvent, this)) return;
   sim::SimTime at = std::max(sim_->now(), busy_until_);
-  sim_->ScheduleRawAt(
-      at,
-      [](void* arg) {
-        auto* self = static_cast<Task*>(arg);
-        self->run_scheduled_ = false;
-        self->RunOnce();
-      },
-      this);
+  sim_->ScheduleRawAt(at, &Task::RunEvent, this);
+}
+
+void Task::RunEvent(void* task) {
+  auto* self = static_cast<Task*>(task);
+  self->run_scheduled_ = false;
+  self->RunOnce();
+}
+
+void Task::OnOutputCongested(net::Channel* /*channel*/) {
+  if (!run_scheduled_ && sim_->Redeem(rearm_slot_, &Task::RunEvent, this)) {
+    run_scheduled_ = true;
+  }
 }
 
 bool Task::AnyOutputCongested() {
@@ -346,7 +353,20 @@ void Task::RunOnce() {
   ExitStall();
   suspend_memo_ = false;
   Dispatch(sel.channel, std::move(sel.element));
+  if (RearmIsNoOp()) {
+    sim_->Reserve(rearm_slot_, std::max(sim_->now(), busy_until_));
+    return;
+  }
   MaybeSchedule();
+}
+
+bool Task::RearmIsNoOp() const {
+  // The re-arm would find no congestion and, the default handler consulting
+  // nothing else, no input; stalled_ is already clear. Anything that later
+  // changes that redeems the reserved key (MaybeSchedule,
+  // OnOutputCongested); freezing or crashing only makes the run a no-op.
+  return !run_scheduled_ && !frozen_ && !crashed_ && default_handler_ &&
+         AllInputsEmpty() && !AnyOutputCongestedFast();
 }
 
 void Task::Dispatch(net::Channel* channel, StreamElement element) {

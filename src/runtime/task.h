@@ -67,7 +67,16 @@ class ArrivalGate {
 ///
 /// Everything is event-driven: the task is re-armed by channel deliveries,
 /// decongestion callbacks and explicit WakeUp()s from scaling strategies.
-class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
+///
+/// After a dispatch that leaves every input cache empty and every output
+/// uncongested, the trailing re-arm would run as a no-op, so it is elided:
+/// its (time, seq) key is reserved in the simulator instead (see
+/// sim::Simulator::Reserve). Whatever would have found the re-arm pending —
+/// any MaybeSchedule(), or a congestion onset on one of the task's outputs —
+/// redeems it under that key, so same-instant order is unchanged.
+class Task : public net::ChannelReceiver,
+             public net::ChannelSender,
+             public dataflow::OperatorContext {
  public:
   Task(sim::Simulator* sim, const dataflow::OperatorSpec& spec,
        dataflow::InstanceId id, dataflow::OperatorId op, uint32_t subtask,
@@ -170,6 +179,11 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   void OnControlBypass(net::Channel* channel,
                        const dataflow::StreamElement& element) override;
 
+  // ---- ChannelSender ----
+  /// A pending re-arm would see this congestion and open a backpressure
+  /// stall: redeem an elided one.
+  void OnOutputCongested(net::Channel* channel) override;
+
   // ---- emission helpers used by strategies and checkpointing ----
   /// Send a control element on every output channel of every edge.
   void BroadcastControl(const dataflow::StreamElement& element);
@@ -212,7 +226,10 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   sim::SimTime busy_until() const { return busy_until_; }
   bool stalled() const { return stalled_; }
   metrics::StallReason stall_reason() const { return stall_reason_; }
-  bool run_scheduled() const { return run_scheduled_; }
+  /// True while a re-arm is pending, as an event or as an elided one.
+  bool run_scheduled() const {
+    return run_scheduled_ || sim_->reserved(rearm_slot_);
+  }
   bool suspend_memo() const { return suspend_memo_; }
   sim::SimTime busy_time() const { return busy_time_; }
   sim::SimTime current_watermark() const { return operator_watermark_; }
@@ -242,6 +259,7 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// Pure congestion probe: no decongest-listener registration. Used by the
   /// trailing re-arm elision, which must not alter listener state.
   bool AnyOutputCongestedFast() const;
+  /// True when no input cache holds an element (trailing re-arm elision).
   bool AllInputsEmpty() const;
   void EnterStall(metrics::StallReason reason);
   void ExitStall();
@@ -254,6 +272,10 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   sim::SimTime busy_until_ = 0;
 
  private:
+  /// Body of the re-arm event: clears run_scheduled_ and runs the loop.
+  static void RunEvent(void* task);
+  /// True when the re-arm after a dispatch would run as a no-op.
+  bool RearmIsNoOp() const;
   void Dispatch(net::Channel* channel, dataflow::StreamElement element);
   void HandleWatermark(net::Channel* channel, sim::SimTime wm);
   void ProcessDataRecord(net::Channel* channel,
@@ -278,6 +300,8 @@ class Task : public net::ChannelReceiver, public dataflow::OperatorContext {
   /// trailing re-arm elision (custom handlers may have their own notion of
   /// available work, so their idle runs are never elided).
   bool default_handler_ = true;
+  /// Where an elided re-arm keeps its reserved key.
+  sim::Simulator::ReservationSlot rearm_slot_;
   /// True when the last selection pass found input but nothing processable.
   /// While set, deliveries that provably cannot change the verdict (a data
   /// record buried deep in an already-scanned queue) skip the rescan — this

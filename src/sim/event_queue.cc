@@ -23,23 +23,24 @@ void EventQueue::InvokeBox(void* arg) {
   cb();
 }
 
-SimTime EventQueue::PeekTime() const {
-  if (heap_.empty()) return kSimTimeMax;
-  return heap_.front().time;
-}
-
 EventQueue::Fired EventQueue::Pop() {
-  DRRS_CHECK(!heap_.empty());
-  Event top = heap_.front();
-  DRRS_AUDIT_CALL(auditor_, OnEventPopped(top.time, top.seq));
-  Event last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = last;
-    SiftDown(0);
+  Event top;
+  if (has_next_) {
+    top = next_;
+    has_next_ = false;
+  } else {
+    DRRS_CHECK(!heap_.empty());
+    top = heap_.front();
+    Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_.front() = last;
+      SiftDown(0);
+    }
   }
+  DRRS_AUDIT_CALL(auditor_, OnEventPopped(top.time, top.seq));
   ++popped_;
-  return Fired{top.time, top.fn, top.arg};
+  return Fired{top.time, top.seq, top.fn, top.arg};
 }
 
 void EventQueue::SiftUp(size_t i) {

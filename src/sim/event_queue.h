@@ -32,6 +32,16 @@ namespace drrs::sim {
 /// in a pooled arena slot and dispatched through a trampoline, with the box
 /// recycled on pop. Both paths draw from the same insertion sequence, so
 /// mixing them preserves the global FIFO tie-break.
+///
+/// A key can also be drawn ahead of its event: `ReserveSeq()` takes the next
+/// seq without enqueuing anything, and `ScheduleReserved` later enqueues an
+/// event under it. The event then orders exactly as if it had been scheduled
+/// when its seq was drawn (the simulator's elided task re-arms rely on this).
+///
+/// In front of the heap sits a one-entry next-event slot that, when full,
+/// holds the global (time, seq) minimum. An event that becomes the minimum
+/// as it is pushed (typically a task run at now(), armed by a delivery at
+/// now()) goes there, and is popped from there, without a sift.
 class EventQueue {
  public:
   using Callback = EventCallback;
@@ -43,20 +53,32 @@ class EventQueue {
 
   /// Enqueue a raw (function pointer, context) event — allocation-free.
   void ScheduleRaw(SimTime at, RawFn fn, void* arg) {
-    heap_.push_back(Event{at, next_seq_++, fn, arg});
-    SiftUp(heap_.size() - 1);
+    Push(Event{at, next_seq_++, fn, arg});
   }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  /// Draw the next insertion seq without enqueuing an event.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Enqueue a raw event under a seq drawn earlier by ReserveSeq(). Each
+  /// reserved seq may be used at most once.
+  void ScheduleReserved(SimTime at, uint64_t seq, RawFn fn, void* arg) {
+    Push(Event{at, seq, fn, arg});
+  }
+
+  bool empty() const { return !has_next_ && heap_.empty(); }
+  size_t size() const { return heap_.size() + (has_next_ ? 1 : 0); }
 
   /// Time of the earliest pending event; kSimTimeMax when empty.
-  SimTime PeekTime() const;
+  SimTime PeekTime() const {
+    if (has_next_) return next_.time;
+    return heap_.empty() ? kSimTimeMax : heap_.front().time;
+  }
 
   /// A popped event, ready to run: call `fn(arg)`. For boxed callbacks, `fn`
   /// is the unboxing trampoline (the box frees itself before invoking).
   struct Fired {
     SimTime time;
+    uint64_t seq;
     RawFn fn;
     void* arg;
   };
@@ -65,12 +87,14 @@ class EventQueue {
   /// `fired.fn(fired.arg)` exactly once.
   Fired Pop();
 
-  /// Number of events *scheduled* so far (monotonic insertion counter, also
-  /// the tie-break sequence). Diagnostic.
+  /// Number of seqs drawn so far: every scheduled event plus every
+  /// ReserveSeq() (monotonic insertion counter, also the tie-break
+  /// sequence). Diagnostic.
   uint64_t scheduled_count() const { return next_seq_; }
 
   /// Number of events popped for execution so far. Diagnostic counterpart of
-  /// scheduled_count(); `scheduled_count() - popped_count() == size()`.
+  /// scheduled_count(): `scheduled_count() - popped_count()` is size() plus
+  /// the reserved seqs that never reached ScheduleReserved.
   uint64_t popped_count() const { return popped_; }
 
   /// Auditor notified on every pop (DRRS_AUDIT builds; ignored otherwise).
@@ -105,10 +129,35 @@ class EventQueue {
     return a.seq > b.seq;
   }
 
+  /// Insert `e`, keeping next_ (when full) the minimum of all events.
+  void Push(const Event& e) {
+    if (has_next_) {
+      if (!Later(next_, e)) {
+        HeapPush(e);
+        return;
+      }
+      HeapPush(next_);
+    } else if (!heap_.empty() && !Later(heap_.front(), e)) {
+      HeapPush(e);
+      return;
+    }
+    next_ = e;
+    has_next_ = true;
+  }
+
+  void HeapPush(const Event& e) {
+    heap_.push_back(e);
+    SiftUp(heap_.size() - 1);
+  }
+
   void SiftUp(size_t i);
   void SiftDown(size_t i);
 
-  // Explicit binary heap over a vector of POD events. Hand-rolled sifts (vs
+  /// The next-event slot: valid while has_next_, and then earlier than every
+  /// heap entry.
+  Event next_{};
+  bool has_next_ = false;
+  // Explicit 4-ary heap over a vector of POD events. Hand-rolled sifts (vs
   // std::push_heap/pop_heap over move-only payloads) keep every move a
   // 32-byte copy.
   std::vector<Event> heap_;

@@ -114,6 +114,13 @@ uint64_t PdesEngine::ExecutedEvents() const {
   return n;
 }
 
+uint64_t PdesEngine::ElidedEvents() const {
+  if (sims_.empty()) return primary_->elided_events();
+  uint64_t n = 0;
+  for (const Simulator* s : sims_) n += s->elided_events();
+  return n;
+}
+
 uint64_t PdesEngine::RunUntil(SimTime horizon) {
   DRRS_CHECK(!sims_.empty()) << "SetPartitionCount before RunUntil";
   const uint64_t before = ExecutedEvents();

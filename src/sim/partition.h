@@ -105,6 +105,8 @@ class PdesEngine : public net::RemoteRouter {
 
   /// Sum of executed events across all partitions.
   uint64_t ExecutedEvents() const;
+  /// Sum of elided events across all partitions.
+  uint64_t ElidedEvents() const;
 
   /// Mailbox traffic counters (posted must equal drained after RunUntil
   /// returns; the destructor checks this).

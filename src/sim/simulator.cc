@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -36,31 +38,66 @@ uint64_t Simulator::RunUntil(SimTime horizon) {
   while (!queue_.empty() && queue_.PeekTime() <= horizon) {
     EventQueue::Fired f = queue_.Pop();
     now_ = f.time;
+    frontier_time_ = f.time;
+    frontier_seq_ = f.seq;
     f.fn(f.arg);
     ++n;
     ++executed_;
     DRRS_TRACE_CALL(tracer_, OnEventExecuted(now_, queue_.size()));
   }
-  // The clock does not advance past the last executed event; callers that
-  // want now() == horizon after a quiet period schedule a sentinel event.
+  // Every key up to the horizon has run: reserved ones as no-ops. The clock
+  // does not advance past the last of them; callers that want
+  // now() == horizon after a quiet period schedule a sentinel event.
+  PassReservationsBefore(horizon, std::numeric_limits<uint64_t>::max());
   return n;
 }
 
 void Simulator::AdvanceTo(SimTime t) {
   if (t <= now_) return;
-  DRRS_CHECK(queue_.empty() || queue_.PeekTime() > t)
+  DRRS_CHECK(NextEventTime() > t)
       << "AdvanceTo would skip over a pending event";
   now_ = t;
 }
 
 bool Simulator::Step() {
-  if (queue_.empty()) return false;
+  if (queue_.empty()) {
+    PassReservationsBefore(kSimTimeMax, std::numeric_limits<uint64_t>::max());
+    return false;
+  }
   EventQueue::Fired f = queue_.Pop();
+  PassReservationsBefore(f.time, f.seq);
   now_ = f.time;
+  frontier_time_ = f.time;
+  frontier_seq_ = f.seq;
   f.fn(f.arg);
   ++executed_;
   DRRS_TRACE_CALL(tracer_, OnEventExecuted(now_, queue_.size()));
   return true;
+}
+
+Simulator::ReservationSlot Simulator::NewReservationSlot() {
+  reservations_.emplace_back();
+  return static_cast<ReservationSlot>(reservations_.size() - 1);
+}
+
+SimTime Simulator::EarliestReservation() const {
+  SimTime t = kSimTimeMax;
+  for (const Reservation& r : reservations_) {
+    if (r.seq != kFreeSlot) t = std::min(t, r.time);
+  }
+  return t;
+}
+
+void Simulator::PassReservationsBefore(SimTime t, uint64_t seq) {
+  if (live_reservations_ == 0) return;
+  for (Reservation& r : reservations_) {
+    if (r.seq == kFreeSlot) continue;
+    if (r.time > t || (r.time == t && r.seq > seq)) continue;
+    now_ = std::max(now_, r.time);
+    r.seq = kFreeSlot;
+    --live_reservations_;
+    ++elided_;
+  }
 }
 
 namespace {

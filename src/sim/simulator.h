@@ -1,10 +1,14 @@
 #ifndef DRRS_SIM_SIMULATOR_H_
 #define DRRS_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "common/arena.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "sim/event_queue.h"
 #include "sim/sim_time.h"
@@ -29,6 +33,16 @@ namespace drrs::sim {
 /// channels, coordinators) schedule callbacks; the simulator executes them in
 /// timestamp order, advancing the clock between events. Everything is
 /// single-threaded and deterministic.
+///
+/// An event known to be a no-op when armed can be *elided*: its owner
+/// reserves the (time, seq) key the event would have had (Reserve) and
+/// enqueues it under that key only if something changes before the key is
+/// reached (Redeem). A key below the execution frontier (the key of the
+/// last popped event) or at or before the horizon of a finished RunUntil
+/// stands for a no-op that ran; it is dropped and counted in
+/// elided_events(). Keys stay drawn from the one insertion counter, so every
+/// other event keeps the seq it always had, and the clock, NextEventTime()
+/// and idle() treat reservations as the events they stand for.
 class Simulator {
  public:
   Simulator() = default;
@@ -59,21 +73,33 @@ class Simulator {
 
   /// Run events until the queue is empty or `horizon` is passed. Events at
   /// exactly `horizon` still execute. Returns the number of events executed.
+  /// Reservations up to `horizon` count as no-op events that ran: the clock
+  /// ends on the latest executed or reserved key.
   uint64_t RunUntil(SimTime horizon);
 
   /// Run until no events remain.
   uint64_t RunUntilIdle() { return RunUntil(kSimTimeMax); }
 
-  /// Execute exactly one event if present. Returns false when idle.
+  /// Execute exactly one event if present (reservations before it pass as
+  /// no-ops). Returns false when no event is queued; any reservations left
+  /// then pass too, and the clock moves to the latest of them.
   bool Step();
 
   uint64_t executed_events() const { return executed_; }
 
-  /// Timestamp of the earliest pending event, kSimTimeMax when idle.
+  /// Reserved keys that passed without an event: the no-op events elided.
+  /// executed_events() + elided_events() is the count of an engine that
+  /// enqueued every reserved event.
+  uint64_t elided_events() const { return elided_; }
+
+  /// Timestamp of the earliest pending event or reservation, kSimTimeMax
+  /// when idle. Meaningful between events (not from inside one).
   SimTime NextEventTime() const {
-    return queue_.empty() ? kSimTimeMax : queue_.PeekTime();
+    SimTime t = queue_.PeekTime();
+    if (live_reservations_ > 0) t = std::min(t, EarliestReservation());
+    return t;
   }
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return queue_.empty() && live_reservations_ == 0; }
 
   /// Advance the clock to `t` without executing anything. Only legal when no
   /// pending event is at or before `t`. The PDES engine uses this at window
@@ -81,6 +107,47 @@ class Simulator {
   /// transmissions, global samplers) is timestamped with the barrier time
   /// rather than the partition's last event time.
   void AdvanceTo(SimTime t);
+
+  // ---- elided events (reserved keys) ----
+
+  /// One owner's reservation slot; it holds at most one reservation.
+  using ReservationSlot = uint32_t;
+  ReservationSlot NewReservationSlot();
+
+  /// Elide a no-op event at `at` (clamped to now()): draw its seq now and
+  /// hold the key in `slot` (which must be empty) without enqueuing. Until
+  /// the owner calls Redeem, the event it stands for must be a no-op.
+  void Reserve(ReservationSlot slot, SimTime at) {
+    Reservation& r = reservations_[slot];
+    DRRS_CHECK(r.seq == kFreeSlot) << "slot already holds a reservation";
+    r.time = at < now_ ? now_ : at;
+    r.seq = queue_.ReserveSeq();
+    ++live_reservations_;
+  }
+
+  /// The owner is about to change what its elided event would do: enqueue
+  /// (fn, arg) under the reserved key and return true, if the key is still
+  /// ahead of the execution frontier. A passed key is dropped (its no-op
+  /// ran) and counted as elided. Returns false when nothing was enqueued.
+  bool Redeem(ReservationSlot slot, EventQueue::RawFn fn, void* arg) {
+    Reservation& r = reservations_[slot];
+    if (r.seq == kFreeSlot) return false;
+    const bool ahead = !Passed(r);
+    if (ahead) {
+      queue_.ScheduleReserved(r.time, r.seq, fn, arg);
+    } else {
+      ++elided_;
+    }
+    r.seq = kFreeSlot;
+    --live_reservations_;
+    return ahead;
+  }
+
+  /// True while `slot` holds a key the frontier has not passed.
+  bool reserved(ReservationSlot slot) const {
+    const Reservation& r = reservations_[slot];
+    return r.seq != kFreeSlot && !Passed(r);
+  }
 
   // ---- logical-process identity (PDES) ----
 
@@ -130,8 +197,31 @@ class Simulator {
   Arena* arena() { return &arena_; }
 
  private:
+  static constexpr uint64_t kFreeSlot = std::numeric_limits<uint64_t>::max();
+
+  /// A reserved (time, seq) key; seq == kFreeSlot marks an empty slot.
+  struct Reservation {
+    SimTime time = 0;
+    uint64_t seq = kFreeSlot;
+  };
+
+  bool Passed(const Reservation& r) const {
+    return r.time < frontier_time_ ||
+           (r.time == frontier_time_ && r.seq < frontier_seq_);
+  }
+  SimTime EarliestReservation() const;
+  /// Drop every reservation keyed below (t, seq) as a no-op that ran, and
+  /// move the clock to the latest of them.
+  void PassReservationsBefore(SimTime t, uint64_t seq);
+
   SimTime now_ = 0;
   uint64_t executed_ = 0;
+  uint64_t elided_ = 0;
+  /// Key of the last popped event (the execution frontier).
+  SimTime frontier_time_ = std::numeric_limits<SimTime>::min();
+  uint64_t frontier_seq_ = 0;
+  std::vector<Reservation> reservations_;
+  size_t live_reservations_ = 0;
   EventQueue queue_;
   Arena arena_;
   verify::Auditor* auditor_ = nullptr;

@@ -20,6 +20,19 @@ workloads::WorkloadSpec TinyWorkload() {
   return workloads::BuildCustomWorkload(p);
 }
 
+/// examples/quickstart.cpp's job: near-saturated aggregator, 4 -> 6 at 20 s.
+workloads::WorkloadSpec QuickstartWorkload() {
+  workloads::CustomParams p;
+  p.events_per_second = 3000;
+  p.num_keys = 2000;
+  p.skew = 0.5;
+  p.duration = sim::Seconds(60);
+  p.record_cost = sim::Micros(1100);
+  p.agg_parallelism = 4;
+  p.num_key_groups = 64;
+  return workloads::BuildCustomWorkload(p);
+}
+
 TEST(Harness, SystemNamesAreUniqueAndStable) {
   std::set<std::string> names;
   for (SystemKind kind :
@@ -95,6 +108,18 @@ TEST(Harness, DeterministicAcrossRuns) {
   EXPECT_EQ(a.mechanism_duration, b.mechanism_duration);
   EXPECT_DOUBLE_EQ(a.peak_latency_ms, b.peak_latency_ms);
   EXPECT_DOUBLE_EQ(a.avg_latency_ms, b.avg_latency_ms);
+}
+
+TEST(Harness, ElidedRearmsAccountForEveryEvent) {
+  // Idle-task re-arms are elided, not lost: executed + elided equals the
+  // event count of the engine that enqueued every re-arm (the constant).
+  ExperimentConfig c;
+  c.system = SystemKind::kDrrs;
+  c.target_parallelism = 6;
+  c.scale_at = sim::Seconds(20);
+  auto r = RunExperiment(QuickstartWorkload(), c);
+  EXPECT_EQ(r.executed_events + r.elided_events, 1522076u);
+  EXPECT_GT(r.elided_events, 0u);
 }
 
 TEST(Harness, WindowHelpersMatchSeries) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dataflow/key_space.h"
@@ -265,6 +266,129 @@ TEST_F(InputHandlerTest, FreezeDefersEverything) {
   task_->Unfreeze();
   sim_.RunUntilIdle();
   EXPECT_EQ(processed_.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Elided re-arms. When a dispatch leaves every input cache empty, the task's
+// trailing re-arm is not enqueued: its (time, seq) key is reserved, and the
+// first thing that would have found that event pending enqueues it under the
+// reserved key. The expected values below were recorded with every re-arm
+// enqueued as a real event; the elision must not move any of them.
+// ---------------------------------------------------------------------------
+
+/// Records (key, time) of every processed record.
+class TimedRecordingOperator : public dataflow::Operator {
+ public:
+  using Log = std::vector<std::pair<dataflow::KeyT, sim::SimTime>>;
+  explicit TimedRecordingOperator(Log* log) : log_(log) {}
+  void ProcessRecord(const StreamElement& record,
+                     dataflow::OperatorContext* ctx) override {
+    log_->emplace_back(record.key, ctx->now());
+  }
+
+ private:
+  Log* log_;
+};
+
+/// Consumes every delivered element at once, returning its credit.
+class DrainingReceiver : public net::ChannelReceiver {
+ public:
+  void OnBatchAvailable(net::Channel* channel, size_t /*appended*/) override {
+    while (channel->HasInput()) channel->PopInput();
+  }
+  void OnControlBypass(net::Channel* /*channel*/,
+                       const StreamElement& /*element*/) override {}
+};
+
+TEST(ElidedRearm, KeepsSameInstantOrderStallsAndClock) {
+  sim::Simulator sim;
+  metrics::MetricsHub hub;
+  dataflow::KeySpace key_space(8);
+  TimedRecordingOperator::Log log;
+  dataflow::OperatorSpec spec;
+  spec.name = "probe";
+  spec.parallelism = 1;
+  spec.record_cost = sim::Micros(100);
+  spec.factory = [&log]() {
+    return std::make_unique<TimedRecordingOperator>(&log);
+  };
+  Task task(&sim, spec, /*id=*/0, /*op=*/0, /*subtask=*/0, &key_space, &hub,
+            /*check_invariants=*/false);
+
+  // Two inputs with different latencies; 64-byte records serialize in 0 us.
+  net::NetworkConfig a_cfg;
+  a_cfg.base_latency = sim::Micros(50);
+  net::NetworkConfig b_cfg;
+  b_cfg.base_latency = sim::Micros(150);
+  net::Channel a(&sim, a_cfg, 100, 0, &task);
+  net::Channel b(&sim, b_cfg, 101, 0, &task);
+  task.AddInputChannel(&a);
+  task.AddInputChannel(&b);
+  // One output whose cache congests at 4 elements: one element in flight
+  // (credit window 1) for 1 ms, the rest wait in the cache.
+  DrainingReceiver downstream;
+  net::NetworkConfig out_cfg;
+  out_cfg.base_latency = sim::Micros(1000);
+  out_cfg.input_buffer_capacity = 1;
+  out_cfg.output_buffer_capacity = 4;
+  net::Channel out(&sim, out_cfg, 0, 200, &downstream);
+  out.set_sender(&task);
+  OutputEdge edge;
+  edge.channels.push_back(&out);
+  task.AddOutputEdge(std::move(edge));
+
+  auto push_at = [&sim](sim::SimTime t, net::Channel* ch, dataflow::KeyT k) {
+    sim.ScheduleAt(t, [ch, k] { ch->Push(MakeRecord(k, 0, 0, 0, 64)); });
+  };
+  // Phase 1: k1 runs at 50 and leaves the re-arm at 150 elided. k2 lands on
+  // b at 150 with a wire event armed before the reservation; k3 lands on a
+  // at 110 (before the re-arm), k4 on a at 150 with a later seq.
+  a.Push(MakeRecord(1, 0, 0, 0, 64));
+  b.Push(MakeRecord(2, 0, 0, 0, 64));
+  push_at(sim::Micros(60), &a, 3);
+  push_at(sim::Micros(100), &a, 4);
+  // Phase 2: k6 runs at 1000 (re-arm at 1100 elided). k7 lands on b at 1060
+  // and wakes the task; k8's wire event on a is armed at 1050, between the
+  // reservation and that wake-up, and lands at 1100 right after the
+  // re-arm's key. Re-seq'ing the re-arm at the wake-up would let k8 arrive
+  // first and be served first.
+  push_at(sim::Micros(910), &b, 7);
+  push_at(sim::Micros(950), &a, 6);
+  push_at(sim::Micros(1050), &a, 8);
+  // Phase 3: k9 runs at 2000 (re-arm at 2100 elided). At 2020 priority
+  // pushes fill the output cache; the elided re-arm must still open the
+  // backpressure stall at 2100, which lasts until the cache drains below
+  // half at 5020.
+  push_at(sim::Micros(1950), &a, 9);
+  sim.ScheduleAt(sim::Micros(2020), [&out] {
+    for (dataflow::KeyT k = 50; k < 55; ++k) {
+      out.PushPriority(MakeRecord(k, 0, 0, 0, 64));
+    }
+  });
+  // Phase 4: the last logical event before each horizon is an elided re-arm.
+  push_at(sim::Micros(9950), &a, 10);
+  push_at(sim::Micros(19950), &a, 11);
+
+  sim.RunUntil(sim::Micros(2100));
+  EXPECT_TRUE(task.stalled());
+  EXPECT_EQ(task.stall_reason(), metrics::StallReason::kBackpressure);
+  sim.RunUntil(sim::Micros(10200));
+  EXPECT_EQ(sim.now(), sim::Micros(10100));
+  EXPECT_FALSE(task.stalled());
+  EXPECT_EQ(hub.scaling().BackpressureTime(), sim::Micros(2920));
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.now(), sim::Micros(20100));
+
+  const TimedRecordingOperator::Log expected = {
+      {1, sim::Micros(50)},    {3, sim::Micros(150)},
+      {4, sim::Micros(250)},   {2, sim::Micros(350)},
+      {6, sim::Micros(1000)},  {7, sim::Micros(1100)},
+      {8, sim::Micros(1200)},  {9, sim::Micros(2000)},
+      {10, sim::Micros(10000)}, {11, sim::Micros(20000)}};
+  EXPECT_EQ(log, expected);
+  // Every re-arm the engine used to run is either executed or elided.
+  EXPECT_EQ(sim.executed_events() + sim.elided_events(), 40u);
+  EXPECT_GT(sim.elided_events(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // function of the job graph) and never of the thread count.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +43,45 @@ void ExpectResultsBitIdentical(const harness::ExperimentResult& a,
   EXPECT_EQ(a.audit.violations.size(), b.audit.violations.size());
   ExpectSeriesEqual(a.hub->latency_ms(), b.hub->latency_ms(), "latency_ms");
   ExpectSeriesEqual(a.hub->state_bytes(), b.hub->state_bytes(), "state_bytes");
+}
+
+// FNV-1a over every (time, value-bits) pair: one constant pins a series.
+uint64_t SeriesHash(const metrics::TimeSeries& series) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const metrics::Sample& s : series.samples()) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &s.value, sizeof(bits));
+    mix(static_cast<uint64_t>(s.time));
+    mix(bits);
+  }
+  return h;
+}
+
+/// Outputs of a multi-partition run, pinned as constants. Thread-count
+/// invariance only compares a run with itself, so a change that moved every
+/// PDES window the same way for every thread count would pass it unseen.
+struct OutputPin {
+  uint64_t source_records;
+  uint64_t sink_records;
+  uint64_t latency_hash;
+  uint64_t state_bytes_hash;
+  sim::SimTime mechanism_duration;
+  sim::SimTime sim_end;
+};
+
+void ExpectPinned(const harness::ExperimentResult& r, const OutputPin& pin) {
+  EXPECT_EQ(r.source_records, pin.source_records);
+  EXPECT_EQ(r.sink_records, pin.sink_records);
+  EXPECT_EQ(SeriesHash(r.hub->latency_ms()), pin.latency_hash);
+  EXPECT_EQ(SeriesHash(r.hub->state_bytes()), pin.state_bytes_hash);
+  EXPECT_EQ(r.mechanism_duration, pin.mechanism_duration);
+  EXPECT_EQ(r.sim_end, pin.sim_end);
 }
 
 workloads::WorkloadSpec SmallCustom() {
@@ -182,6 +222,8 @@ TEST(RemoteChannels, ForcedSplitIsThreadCountInvariant) {
   ExpectResultsBitIdentical(t1, t4);
   EXPECT_EQ(t1.trace_events, t2.trace_events);
   EXPECT_EQ(t1.trace_events, t4.trace_events);
+  ExpectPinned(t1, {44749, 44749, 0xde8da47ae4bd826dULL, 0xcd065005297c6d0bULL,
+                    0, 15001375});
 }
 
 // ---------------------------------------------------------------------------
@@ -209,6 +251,8 @@ TEST(PdesDeterminism, MultiJobWithRescaleIsThreadCountInvariant) {
   ExpectResultsBitIdentical(t1, t4);
   EXPECT_EQ(t1.trace_events, t2.trace_events);
   EXPECT_EQ(t1.trace_events, t4.trace_events);
+  ExpectPinned(t1, {90345, 90345, 0xfce424a42ffbb375ULL, 0xb381be34a16978b2ULL,
+                    7700, 12000687});
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <deque>
 #include <vector>
 
+#include "common/random.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 
@@ -49,6 +53,109 @@ TEST(EventQueue, TieBreakIsGlobalInsertionOrder) {
     f.fn(f.arg);
   }
   EXPECT_EQ(fired, (std::vector<int>{2, 4, 1, 3}));
+}
+
+// Property: a random mix of raw events, boxed callbacks and reserved seqs
+// (drawn by ReserveSeq, enqueued later by ScheduleReserved, or never) pops
+// in the order of a reference sort by (time, seq), and size(), empty() and
+// PeekTime() agree with the reference after every operation. The next-event
+// slot is full after a push that made a new minimum and empty after a pop;
+// both kinds of pop must occur.
+TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
+  struct Pending {
+    SimTime time;
+    uint64_t seq;
+    int id;
+  };
+  auto earlier = [](const Pending& a, const Pending& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  };
+  uint64_t slot_pops = 0;
+  uint64_t heap_pops = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<Pending> ref;
+    std::vector<Pending> reserved;  // seqs drawn, not yet enqueued
+    std::deque<int> ids;            // stable homes for raw-event args
+    std::vector<int> fired;
+    uint64_t next_seq = 0;
+    uint64_t abandoned = 0;  // reserved seqs never enqueued
+    SimTime floor = 0;       // time of the last pop
+    bool slot_full = false;
+    auto push_ref = [&](const Pending& e) {
+      bool new_min = true;
+      for (const Pending& p : ref) new_min = new_min && earlier(e, p);
+      if (new_min) slot_full = true;
+      ref.push_back(e);
+    };
+    auto draw_time = [&] {
+      return rng.NextBounded(3) == 0
+                 ? floor
+                 : floor + static_cast<SimTime>(rng.NextBounded(20));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng.NextBounded(100);
+      const int id = static_cast<int>(ids.size());
+      if (op < 30) {
+        const SimTime t = draw_time();
+        ids.push_back(id);
+        push_ref({t, next_seq++, id});
+        q.ScheduleRaw(t, [](void*) {}, &ids.back());
+      } else if (op < 45) {
+        const SimTime t = draw_time();
+        ids.push_back(id);
+        push_ref({t, next_seq++, id});
+        q.Schedule(t, [&fired, id] { fired.push_back(id); });
+      } else if (op < 60) {
+        const SimTime t = draw_time();
+        ids.push_back(id);
+        const uint64_t seq = q.ReserveSeq();
+        EXPECT_EQ(seq, next_seq++);
+        reserved.push_back({t, seq, id});
+      } else if (op < 72 && !reserved.empty()) {
+        const size_t pick = rng.NextBounded(reserved.size());
+        const Pending r = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<ptrdiff_t>(pick));
+        if (r.time < floor) {
+          ++abandoned;  // its key was passed: the simulator drops these
+        } else {
+          push_ref(r);
+          q.ScheduleReserved(r.time, r.seq, [](void*) {},
+                             &ids[static_cast<size_t>(r.id)]);
+        }
+      } else if (!ref.empty()) {
+        auto min_it = ref.begin();
+        for (auto it = ref.begin(); it != ref.end(); ++it) {
+          if (earlier(*it, *min_it)) min_it = it;
+        }
+        const Pending expect = *min_it;
+        ref.erase(min_it);
+        (slot_full ? slot_pops : heap_pops) += 1;
+        slot_full = false;
+        EventQueue::Fired f = q.Pop();
+        ASSERT_EQ(f.time, expect.time) << "seed " << seed << " step " << step;
+        ASSERT_EQ(f.seq, expect.seq) << "seed " << seed << " step " << step;
+        const size_t before = fired.size();
+        f.fn(f.arg);
+        if (fired.size() == before) {  // a raw event: identify it by arg
+          ASSERT_EQ(f.arg, &ids[static_cast<size_t>(expect.id)]);
+        } else {
+          ASSERT_EQ(fired.back(), expect.id);
+        }
+        floor = f.time;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+      SimTime peek = kSimTimeMax;
+      for (const Pending& p : ref) peek = std::min(peek, p.time);
+      ASSERT_EQ(q.PeekTime(), peek);
+      ASSERT_EQ(q.scheduled_count() - q.popped_count(),
+                q.size() + reserved.size() + abandoned);
+    }
+  }
+  EXPECT_GT(slot_pops, 0u);
+  EXPECT_GT(heap_pops, 0u);
 }
 
 TEST(EventQueue, PeekTimeEmpty) {
@@ -121,6 +228,54 @@ TEST(Simulator, EventsCanCascade) {
   sim.RunUntilIdle();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.now(), 99);
+}
+
+TEST(Simulator, ReservedKeysOrderAndPassLikeTheirEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::ReservationSlot slot = sim.NewReservationSlot();
+  auto push4 = [](void* arg) { static_cast<std::vector<int>*>(arg)->push_back(4); };
+  sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.Reserve(slot, 20);  // seq drawn before the two events below
+    sim.ScheduleAt(20, [&] { order.push_back(3); });
+    sim.ScheduleAt(15, [&] {
+      order.push_back(2);
+      // Enqueued under the reserved key: ahead of 3 at the same instant.
+      EXPECT_TRUE(sim.Redeem(slot, push4, &order));
+    });
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_EQ(sim.elided_events(), 0u);
+
+  // Unredeemed, a reservation is a pending no-op: it bounds the next event
+  // time, and once passed it moves the clock and counts as elided.
+  sim.ScheduleAt(30, [&] { sim.Reserve(slot, 50); });
+  sim.RunUntil(40);
+  EXPECT_EQ(sim.now(), 30);
+  EXPECT_TRUE(sim.reserved(slot));
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.NextEventTime(), 50);
+  sim.RunUntil(60);
+  EXPECT_EQ(sim.now(), 50);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.elided_events(), 1u);
+
+  // Redeeming a key the frontier passed enqueues nothing.
+  sim.ScheduleAt(70, [&] { sim.Reserve(slot, 70); });
+  sim.ScheduleAt(80, [&] { EXPECT_FALSE(sim.Redeem(slot, push4, &order)); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.elided_events(), 2u);
+  EXPECT_EQ(sim.executed_events(), 7u);
+  EXPECT_EQ(order.size(), 4u);
+
+  // Step passes reservations too, the last ones once the queue is empty.
+  sim.ScheduleAt(90, [&] { sim.Reserve(slot, 95); });
+  EXPECT_TRUE(sim.Step());
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.now(), 95);
+  EXPECT_EQ(sim.elided_events(), 3u);
 }
 
 TEST(PeriodicProcess, FiresAtPeriod) {

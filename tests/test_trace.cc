@@ -255,6 +255,8 @@ TEST(JsonSummary, EmitsStableSchemaWithoutHub) {
   EXPECT_NE(json.find("\"recovery\":{"), std::string::npos);
   EXPECT_NE(json.find("\"trace\":{"), std::string::npos);
   EXPECT_NE(json.find("\"source_records\":123"), std::string::npos);
+  EXPECT_NE(json.find("\"executed_events\":0,\"elided_events\":0}"),
+            std::string::npos);
   // Hub-backed sections (histograms) are absent without a hub, but the keys
   // that exist must still form a parseable object.
   EXPECT_EQ(json.find("histogram_ms"), std::string::npos);

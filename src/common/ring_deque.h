@@ -22,6 +22,10 @@ namespace drrs {
 ///
 /// Middle insert/erase (barrier splicing, record scheduling) shift the
 /// shorter side and stay O(n) like the deque they replace. Indexing is O(1).
+///
+/// Whenever the ring empties, `head_` rewinds to slot 0: a queue that is
+/// mostly empty (the common channel case) keeps reusing its first, cache-warm
+/// slots instead of cycling through the whole ring.
 template <typename T>
 class RingDeque {
  public:
@@ -58,12 +62,24 @@ class RingDeque {
   T& back() { return *Slot(count_ - 1); }
   const T& back() const { return *Slot(count_ - 1); }
 
-  void push_back(T value) {
-    if (count_ == cap_) Grow();
-    ::new (static_cast<void*>(slots_ + ((head_ + count_) & mask_)))
-        T(std::move(value));
+  /// Construct the new back element in place from `args` (one copy of a
+  /// large element instead of two). `args` may refer into this deque.
+  template <typename... Args>
+  void emplace_back(Args&&... args) {
+    if (count_ == cap_) {
+      // Growing frees the old ring: build the element before it goes.
+      T value(std::forward<Args>(args)...);
+      Grow();
+      ::new (static_cast<void*>(slots_ + count_)) T(std::move(value));
+    } else {
+      ::new (static_cast<void*>(slots_ + ((head_ + count_) & mask_)))
+          T(std::forward<Args>(args)...);
+    }
     ++count_;
   }
+
+  void push_back(T&& value) { emplace_back(std::move(value)); }
+  void push_back(const T& value) { emplace_back(value); }
 
   void push_front(T value) {
     if (count_ == cap_) Grow();
@@ -75,12 +91,12 @@ class RingDeque {
   void pop_front() {
     Slot(0)->~T();
     head_ = (head_ + 1) & mask_;
-    --count_;
+    if (--count_ == 0) head_ = 0;
   }
 
   void pop_back() {
     Slot(count_ - 1)->~T();
-    --count_;
+    if (--count_ == 0) head_ = 0;
   }
 
   /// Insert before position `pos` (so insert(size(), v) == push_back).

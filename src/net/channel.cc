@@ -40,9 +40,40 @@ Channel::Channel(sim::Simulator* sim, const NetworkConfig& config,
   bypass_.set_arena(sim_->arena());
 }
 
+void Channel::set_congestion_counter(uint32_t* counter) {
+  DRRS_CHECK(congestion_counter_ == nullptr) << "channel already counted";
+  congestion_counter_ = counter;
+  if (counted_congested_) ++*congestion_counter_;
+}
+
+void Channel::set_readiness(InputReadiness* readiness, uint32_t index) {
+  DRRS_CHECK(readiness_ == nullptr) << "channel already has a receiver slot";
+  readiness_ = readiness;
+  ready_index_ = index;
+  if (HasInput()) MarkInputReady();
+}
+
 void Channel::Push(StreamElement element) {
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
+  if (output_queue_.empty() && config_.output_buffer_capacity >= 2 &&
+      !remote() && CreditInFlight() < config_.input_buffer_capacity) {
+    // Direct transmit: the cached path would push, find no congestion
+    // (one element, capacity >= 2), ask the gate once and pop it again.
+    FaultPlane* faults = sim_->fault_plane();
+    if (faults == nullptr || faults->AllowTransmit(*this)) {
+      ++direct_transmits_;
+      TransmitOne(element, faults);
+      ArmWireEvent();
+      MaybeFireDecongest();
+      return;
+    }
+    // Refused (partitioned link): cache it without asking the gate again.
+    output_queue_.push_back(std::move(element));
+    SyncCongestedCount();
+    return;
+  }
   output_queue_.push_back(std::move(element));
+  SyncCongestedCount();
   LatchCongestion();
   NotifyCongestionOnset();
   TryTransmit();
@@ -51,6 +82,7 @@ void Channel::Push(StreamElement element) {
 void Channel::PushPriority(StreamElement element) {
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementPushed(&element));
   output_queue_.push_front(std::move(element));
+  SyncCongestedCount();
   LatchCongestion();
   NotifyCongestionOnset();
   TryTransmit();
@@ -81,7 +113,7 @@ void Channel::PushBypass(StreamElement element) {
     router_->PostRemote(this, arrival, std::move(element), /*bypass=*/true);
     return;
   }
-  bypass_.push_back(WireEntry{arrival, std::move(element)});
+  bypass_.emplace_back(arrival, std::move(element));
   ArmBypassEvent();
 }
 
@@ -107,13 +139,13 @@ void Channel::AcceptRemote(sim::SimTime arrival, StreamElement element,
                            bool bypass) {
   DRRS_CHECK(remote());
   if (bypass) {
-    remote_bypass_.push_back(WireEntry{arrival, std::move(element)});
+    remote_bypass_.emplace_back(arrival, std::move(element));
     ArmRemoteBypassEvent();
   } else {
     // NOLINTNEXTLINE(drrs-audit-hook-coverage): ingress was audited on the
     // sender (OnElementRemotelyDeparted); delivery is the receiver-side
     // observation point (DeliverRemoteDueBatch).
-    remote_in_.push_back(WireEntry{arrival, std::move(element)});
+    remote_in_.emplace_back(arrival, std::move(element));
     ArmRemoteWireEvent();
   }
 }
@@ -145,6 +177,7 @@ std::vector<StreamElement> Channel::ExtractFromOutput(
     }
   }
   output_queue_.truncate(w);
+  SyncCongestedCount();
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementsExtracted(extracted));
   MaybeFireDecongest();
   return extracted;
@@ -174,6 +207,7 @@ std::vector<StreamElement> Channel::ExtractFromOutputBefore(
     }
   }
   output_queue_.truncate(w);
+  SyncCongestedCount();
   DRRS_AUDIT_CALL(sim_->auditor(), OnElementsExtracted(extracted));
   MaybeFireDecongest();
   return extracted;
@@ -185,6 +219,7 @@ bool Channel::InsertAfterFirst(
   for (size_t i = 0; i < output_queue_.size(); ++i) {
     if (match(output_queue_[i])) {
       output_queue_.insert(i + 1, std::move(element));
+      SyncCongestedCount();
       NotifyCongestionOnset();
       return true;
     }
@@ -207,20 +242,54 @@ StreamElement Channel::PopInput() {
   // delivery (OnElementDelivered) and extraction (OnElementsExtracted);
   // the pop itself is credit bookkeeping via NotifyInputConsumed().
   input_queue_.pop_front();
+  if (input_queue_.empty()) MarkInputDrained();
+  NotifyInputConsumed();
+  return e;
+}
+
+StreamElement Channel::TakeInputAt(size_t pos) {
+  DRRS_CHECK(pos < input_queue_.size());
+  StreamElement e = std::move(input_queue_[pos]);
+  // NOLINTNEXTLINE(drrs-audit-hook-coverage): the record was observed at
+  // delivery; it is processed (OnRecordProcessed) or shed (OnRecordShed,
+  // fired by the overload controller) by the caller. The erase itself is
+  // credit bookkeeping via NotifyInputConsumed().
+  input_queue_.erase(pos);
+  if (input_queue_.empty()) MarkInputDrained();
   NotifyInputConsumed();
   return e;
 }
 
 StreamElement Channel::RemoveInputAt(size_t pos) {
-  DRRS_CHECK(pos < input_queue_.size());
-  StreamElement e = std::move(input_queue_[pos]);
-  // NOLINTNEXTLINE(drrs-audit-hook-coverage): the overload controller fires
-  // Auditor::OnRecordShed for every removal before calling this; the erase
-  // itself is credit bookkeeping via NotifyInputConsumed().
-  input_queue_.erase(pos);
   ++shed_elements_;
-  NotifyInputConsumed();
-  return e;
+  return TakeInputAt(pos);
+}
+
+void Channel::ExtractInput(const std::function<bool(StreamElement&)>& take) {
+  // In-place compaction: kept elements slide forward over taken ones,
+  // preserving the FIFO order of both sequences.
+  const size_t n = input_queue_.size();
+  size_t w = 0;
+  for (size_t r = 0; r < n; ++r) {
+    StreamElement& e = input_queue_[r];
+    if (take(e)) continue;
+    if (w != r) input_queue_[w] = std::move(e);
+    ++w;
+  }
+  // NOLINTNEXTLINE(drrs-audit-hook-coverage): taken records move to another
+  // input cache (AppendInput) and stay tracked there; the truncation only
+  // drops the moved-from tail.
+  input_queue_.truncate(w);
+  if (n > 0 && w == 0) MarkInputDrained();
+  for (size_t i = w; i < n; ++i) NotifyInputConsumed();
+}
+
+void Channel::AppendInput(StreamElement element) {
+  // NOLINTNEXTLINE(drrs-audit-hook-coverage): a splice between two input
+  // caches of the same operator; the element was delivered, and observed,
+  // on its original channel.
+  input_queue_.push_back(std::move(element));
+  if (input_queue_.size() == 1) MarkInputReady();
 }
 
 void Channel::NotifyInputConsumed() {
@@ -243,75 +312,80 @@ void Channel::TryTransmit() {
     StreamElement e = std::move(output_queue_.front());
     output_queue_.pop_front();
     sent = true;
-    DRRS_AUDIT_CALL(sim_->auditor(), OnElementTransmitted(e));
-    DRRS_TRACE_CALL(sim_->tracer(),
-                    OnElementTransmitted(e, sender_id_, receiver_id_));
-    double bandwidth = config_.bandwidth_bytes_per_us;
-    sim::SimTime extra_delay = 0;
-    bool duplicate = false;
-    if (faults != nullptr) {
-      bandwidth *= faults->BandwidthFactor(*this);
-      if (e.kind == dataflow::ElementKind::kStateChunk) {
-        ChunkFaultDecision verdict = faults->OnChunkTransmit(*this, e);
-        if (verdict.drop) {
-          // Lost on the wire: the serializer still spent the time, the
-          // receiver never sees it. Recovery is the sender's ack timeout.
-          sim::SimTime lost_depart = std::max(sim_->now(), link_free_at_);
-          link_free_at_ =
-              lost_depart + static_cast<sim::SimTime>(
-                                static_cast<double>(e.WireBytes()) / bandwidth);
-          DRRS_AUDIT_CALL(sim_->auditor(), OnChunkWireDropped(e));
-          continue;
-        }
-        extra_delay = verdict.extra_delay;
-        duplicate = verdict.duplicate;
-      }
-    }
-    sim::SimTime depart = std::max(sim_->now(), link_free_at_);
-    auto transfer = static_cast<sim::SimTime>(
-        static_cast<double>(e.WireBytes()) / bandwidth);
-    link_free_at_ = depart + transfer + extra_delay;
-    sim::SimTime arrival = link_free_at_ + config_.base_latency;
-    if (e.kind == dataflow::ElementKind::kStateChunk) {
-      DRRS_TRACE_CALL(sim_->tracer(),
-                      OnChunkWireFlight(e, sender_id_, receiver_id_, depart,
-                                        arrival));
-    }
-    // A duplicated chunk consumes one extra credit; skip the copy when the
-    // window cannot admit it (the injector only best-effort duplicates).
-    if (duplicate && CreditInFlight() + 1 < config_.input_buffer_capacity) {
-      StreamElement copy = e;
-      copy.audit_id = 0;  // untracked by conservation: same logical element
-      if (remote()) {
-        ++remote_unacked_;
-        router_->PostRemote(this, arrival, std::move(copy), /*bypass=*/false);
-      } else {
-        wire_.push_back(WireEntry{arrival, std::move(copy)});
-      }
-    }
-    if (remote()) {
-      // The element leaves this partition's audit domain: close its
-      // lifecycle as a legal egress on the sender auditor and strip the
-      // audit identity so the receiver partition's auditor treats it as
-      // untracked (ordering stamps still travel with the element).
-      DRRS_AUDIT_CALL(sim_->auditor(), OnElementRemotelyDeparted(e));
-      e.audit_id = 0;
-      ++remote_unacked_;
-      router_->PostRemote(this, arrival, std::move(e), /*bypass=*/false);
-    } else {
-      wire_.push_back(WireEntry{arrival, std::move(e)});
-    }
+    TransmitOne(e, faults);
   }
   if (sent) {
+    SyncCongestedCount();
     ArmWireEvent();
     MaybeFireDecongest();
+  }
+}
+
+void Channel::TransmitOne(StreamElement& e, FaultPlane* faults) {
+  DRRS_AUDIT_CALL(sim_->auditor(), OnElementTransmitted(e));
+  DRRS_TRACE_CALL(sim_->tracer(),
+                  OnElementTransmitted(e, sender_id_, receiver_id_));
+  double bandwidth = config_.bandwidth_bytes_per_us;
+  sim::SimTime extra_delay = 0;
+  bool duplicate = false;
+  if (faults != nullptr) {
+    bandwidth *= faults->BandwidthFactor(*this);
+    if (e.kind == dataflow::ElementKind::kStateChunk) {
+      ChunkFaultDecision verdict = faults->OnChunkTransmit(*this, e);
+      if (verdict.drop) {
+        // Lost on the wire: the serializer still spent the time, the
+        // receiver never sees it. Recovery is the sender's ack timeout.
+        sim::SimTime lost_depart = std::max(sim_->now(), link_free_at_);
+        link_free_at_ =
+            lost_depart + static_cast<sim::SimTime>(
+                              static_cast<double>(e.WireBytes()) / bandwidth);
+        DRRS_AUDIT_CALL(sim_->auditor(), OnChunkWireDropped(e));
+        return;
+      }
+      extra_delay = verdict.extra_delay;
+      duplicate = verdict.duplicate;
+    }
+  }
+  sim::SimTime depart = std::max(sim_->now(), link_free_at_);
+  auto transfer = static_cast<sim::SimTime>(
+      static_cast<double>(e.WireBytes()) / bandwidth);
+  link_free_at_ = depart + transfer + extra_delay;
+  sim::SimTime arrival = link_free_at_ + config_.base_latency;
+  if (e.kind == dataflow::ElementKind::kStateChunk) {
+    DRRS_TRACE_CALL(sim_->tracer(),
+                    OnChunkWireFlight(e, sender_id_, receiver_id_, depart,
+                                      arrival));
+  }
+  // A duplicated chunk consumes one extra credit; skip the copy when the
+  // window cannot admit it (the injector only best-effort duplicates).
+  if (duplicate && CreditInFlight() + 1 < config_.input_buffer_capacity) {
+    StreamElement copy = e;
+    copy.audit_id = 0;  // untracked by conservation: same logical element
+    if (remote()) {
+      ++remote_unacked_;
+      router_->PostRemote(this, arrival, std::move(copy), /*bypass=*/false);
+    } else {
+      wire_.emplace_back(arrival, std::move(copy));
+    }
+  }
+  if (remote()) {
+    // The element leaves this partition's audit domain: close its
+    // lifecycle as a legal egress on the sender auditor and strip the
+    // audit identity so the receiver partition's auditor treats it as
+    // untracked (ordering stamps still travel with the element).
+    DRRS_AUDIT_CALL(sim_->auditor(), OnElementRemotelyDeparted(e));
+    e.audit_id = 0;
+    ++remote_unacked_;
+    router_->PostRemote(this, arrival, std::move(e), /*bypass=*/false);
+  } else {
+    wire_.emplace_back(arrival, std::move(e));
   }
 }
 
 void Channel::ArmWireEvent() {
   if (wire_event_armed_ || wire_.empty()) return;
   wire_event_armed_ = true;
-  sim_->ScheduleRawAt(
+  sim_->ScheduleArrivalAt(
       wire_.front().arrival,
       [](void* arg) { static_cast<Channel*>(arg)->FireWireEvent(); }, this);
 }
@@ -333,14 +407,16 @@ void Channel::DeliverDueBatch() {
   // element by element (audit, trace and stats stay per-record), then notify
   // the receiver once for the whole batch.
   const sim::SimTime now = sim_->now();
+  const bool was_empty = input_queue_.empty();
   size_t batch = 0;
   while (!wire_.empty() && wire_.front().arrival <= now) {
-    StreamElement e = std::move(wire_.front().element);
-    wire_.pop_front();
+    // The element moves from the wire slot straight into the input cache;
+    // the hooks see it (and the wire depth behind it) just before.
+    StreamElement& e = wire_.front().element;
     ++delivered_elements_;
     delivered_bytes_ += e.WireBytes();
     DRRS_AUDIT_CALL(sim_->auditor(),
-                    OnElementDelivered(e, wire_.size(),
+                    OnElementDelivered(e, wire_.size() - 1,
                                        input_queue_.size() + 1,
                                        config_.input_buffer_capacity,
                                        receiver_id_));
@@ -348,8 +424,10 @@ void Channel::DeliverDueBatch() {
                     OnElementDelivered(e, receiver_id_,
                                        input_queue_.size() + 1));
     input_queue_.push_back(std::move(e));
+    wire_.pop_front();
     ++batch;
   }
+  if (was_empty && batch > 0) MarkInputReady();
   ++delivered_batches_;
   max_batch_size_ = std::max<uint64_t>(max_batch_size_, batch);
   ++batch_size_log2_hist_[Log2Bucket(batch)];
@@ -382,14 +460,14 @@ void Channel::FireRemoteWireEvent() {
 
 void Channel::DeliverRemoteDueBatch() {
   const sim::SimTime now = receiver_sim_->now();
+  const bool was_empty = input_queue_.empty();
   size_t batch = 0;
   while (!remote_in_.empty() && remote_in_.front().arrival <= now) {
-    StreamElement e = std::move(remote_in_.front().element);
-    remote_in_.pop_front();
+    StreamElement& e = remote_in_.front().element;
     ++delivered_elements_;
     delivered_bytes_ += e.WireBytes();
     DRRS_AUDIT_CALL(receiver_sim_->auditor(),
-                    OnElementDelivered(e, remote_in_.size(),
+                    OnElementDelivered(e, remote_in_.size() - 1,
                                        input_queue_.size() + 1,
                                        config_.input_buffer_capacity,
                                        receiver_id_));
@@ -397,8 +475,10 @@ void Channel::DeliverRemoteDueBatch() {
                     OnElementDelivered(e, receiver_id_,
                                        input_queue_.size() + 1));
     input_queue_.push_back(std::move(e));
+    remote_in_.pop_front();
     ++batch;
   }
+  if (was_empty && batch > 0) MarkInputReady();
   ++delivered_batches_;
   max_batch_size_ = std::max<uint64_t>(max_batch_size_, batch);
   ++batch_size_log2_hist_[Log2Bucket(batch)];

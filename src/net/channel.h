@@ -2,6 +2,7 @@
 #define DRRS_NET_CHANNEL_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -28,6 +29,74 @@ struct NetworkConfig {
 };
 
 class Channel;
+class FaultPlane;
+
+/// \brief One readiness bit per input channel of a receiver: bit i is set
+/// exactly while the receiver's i-th input cache holds an element.
+///
+/// Each channel flips its own bit on the empty <-> non-empty transitions of
+/// its input cache, so the receiver finds the channels that hold input by
+/// walking set bits instead of probing every channel, and "no input at all"
+/// is one comparison.
+class InputReadiness {
+ public:
+  /// Append a slot with its bit clear; returns the slot index.
+  uint32_t AddSlot() {
+    if ((size_ & 63) == 0) words_.push_back(0);
+    return static_cast<uint32_t>(size_++);
+  }
+
+  void Set(uint32_t i) {
+    words_[i >> 6] |= Bit(i);
+    ++count_;
+  }
+  void Clear(uint32_t i) {
+    words_[i >> 6] &= ~Bit(i);
+    --count_;
+  }
+
+  bool test(size_t i) const { return (words_[i >> 6] & Bit(i)) != 0; }
+  bool none() const { return count_ == 0; }
+
+  /// Lowest set index >= `from`, or the slot count when there is none.
+  size_t NextSet(size_t from) const {
+    size_t w = from >> 6;
+    if (w >= words_.size()) return size_;
+    uint64_t bits = words_[w] & (~uint64_t{0} << (from & 63));
+    while (bits == 0) {
+      if (++w == words_.size()) return size_;
+      bits = words_[w];
+    }
+    return (w << 6) + static_cast<size_t>(std::countr_zero(bits));
+  }
+
+  /// A cyclic walk over the set bits that starts at `start`: the same order
+  /// as probing every index start, start+1, ..., size()-1, 0, ..., start-1.
+  /// CyclicFirst gives its first index, CyclicNext the one after `i`; both
+  /// return the slot count once the walk is done.
+  size_t CyclicFirst(size_t start) const {
+    const size_t i = NextSet(start);
+    return i < size_ ? i : WrappedFirst(start);
+  }
+  size_t CyclicNext(size_t start, size_t i) const {
+    const size_t next = NextSet(i + 1);
+    if (i < start) return next < start ? next : size_;
+    return next < size_ ? next : WrappedFirst(start);
+  }
+
+ private:
+  /// First set index of the walk's second lap [0, start).
+  size_t WrappedFirst(size_t start) const {
+    const size_t i = NextSet(0);
+    return i < start ? i : size_;
+  }
+
+  static uint64_t Bit(size_t i) { return uint64_t{1} << (i & 63); }
+
+  std::vector<uint64_t> words_;
+  size_t size_ = 0;   ///< slots
+  size_t count_ = 0;  ///< set bits
+};
 
 /// \brief Posts cross-partition traffic into the PDES mailbox.
 ///
@@ -93,6 +162,11 @@ class ChannelSender {
 /// * Transmission is credit-gated by the receiver's input-cache capacity;
 ///   a full output cache raises `congested()` which the sending task treats
 ///   as backpressure.
+/// * A `Push` into an empty output cache whose element the credit window and
+///   the fault plane admit at once goes straight onto the wire (same hooks,
+///   same timing) instead of being written into the cache and read back.
+///   Only local channels whose cache holds at least two elements take this
+///   path; with capacity 1 the cached element itself is a congestion onset.
 ///
 /// Delivery is *batched*: wire entries whose arrival times share a
 /// deliverable window (arrival <= now when the armed event fires) drain as
@@ -125,6 +199,15 @@ class Channel {
   /// The task whose output cache this is; told of each congestion onset.
   /// Null (the default) when no sender listens.
   void set_sender(ChannelSender* sender) { sender_task_ = sender; }
+
+  /// Count this channel in `*counter` while congested(): the sender's count
+  /// of congested output-edge channels. Set once, when the channel joins an
+  /// output edge (scaling rails join none, so they never count).
+  void set_congestion_counter(uint32_t* counter);
+
+  /// Keep bit `index` of `readiness` equal to HasInput(): the receiver's
+  /// readiness bits. Set once, when the channel becomes a receiver input.
+  void set_readiness(InputReadiness* readiness, uint32_t index);
 
   // ---- sender side ----
 
@@ -223,17 +306,30 @@ class Channel {
   }
   dataflow::StreamElement PopInput();
 
-  /// Mutable access for intra-channel record scheduling (removing an element
-  /// from the middle of the input cache). Caller must call
-  /// `NotifyInputConsumed()` once per removed element to release credit.
-  ElementQueue* mutable_input_queue() { return &input_queue_; }
   const ElementQueue& input_queue() const { return input_queue_; }
-  void NotifyInputConsumed();
 
   /// Remove and return the input-cache element at `pos`, releasing its
-  /// credit (overload load shedding). The caller is responsible for the
-  /// conservation accounting of the removed record (Auditor::OnRecordShed).
+  /// credit (intra-channel record scheduling takes a record from the middle
+  /// of the cache).
+  dataflow::StreamElement TakeInputAt(size_t pos);
+
+  /// TakeInputAt for overload load shedding: also counts the element in
+  /// shed_elements(). The caller is responsible for the conservation
+  /// accounting of the removed record (Auditor::OnRecordShed).
   dataflow::StreamElement RemoveInputAt(size_t pos);
+
+  /// Offer every input-cache element, in FIFO order, to `take`. An element
+  /// for which `take` returns true has been moved out by it and leaves the
+  /// cache; the rest keep their order. One credit per removed element is
+  /// released after the pass. (Scaling moves pre-flip records of migrated
+  /// key-groups onto rails this way.)
+  void ExtractInput(
+      const std::function<bool(dataflow::StreamElement&)>& take);
+
+  /// Append `element` to the input cache directly: no wire, no credit, no
+  /// receiver notification (scaling splices re-routed records onto a rail;
+  /// the caller wakes the receiver).
+  void AppendInput(dataflow::StreamElement element);
 
   size_t input_queue_size() const { return input_queue_.size(); }
   /// Elements removed from the input cache by load shedding.
@@ -262,6 +358,8 @@ class Channel {
   /// batch size is delivered_elements()/delivered_batches().
   uint64_t delivered_batches() const { return delivered_batches_; }
   uint64_t max_batch_size() const { return max_batch_size_; }
+  /// Pushes that went straight onto the wire past an empty output cache.
+  uint64_t direct_transmits() const { return direct_transmits_; }
   /// Histogram of batch sizes by floor(log2(size)): bucket 0 counts
   /// singleton batches, bucket k counts sizes in [2^k, 2^(k+1)).
   const std::array<uint64_t, 16>& batch_size_log2_hist() const {
@@ -279,9 +377,36 @@ class Channel {
 
   /// Latch (and trace) backpressure once the output cache is congested.
   void LatchCongestion();
+  /// Bring the sender's congestion count in line with congested() after the
+  /// output cache changed size.
+  void SyncCongestedCount() {
+    const bool congested_now = congested();
+    if (congested_now == counted_congested_) return;
+    counted_congested_ = congested_now;
+    if (congestion_counter_ == nullptr) return;
+    if (congested_now) {
+      ++*congestion_counter_;
+    } else {
+      --*congestion_counter_;
+    }
+  }
+  /// The input cache just went from empty to non-empty, or the reverse.
+  void MarkInputReady() {
+    if (readiness_ != nullptr) readiness_->Set(ready_index_);
+  }
+  void MarkInputDrained() {
+    if (readiness_ != nullptr) readiness_->Clear(ready_index_);
+  }
+  /// Release the credit of one element removed from the input cache.
+  void NotifyInputConsumed();
   /// Tell the sender when a one-element growth made the cache congested.
   void NotifyCongestionOnset();
   void TryTransmit();
+  /// Put one element that left the output cache (or, on the direct path,
+  /// never entered it) on the wire: the per-element body of TryTransmit,
+  /// fault verdicts included. Consumes `e`. The caller has already checked
+  /// the credit window and the fault plane's AllowTransmit gate.
+  void TransmitOne(dataflow::StreamElement& e, FaultPlane* faults);
   void DeliverDueBatch();
   void MaybeFireDecongest();
   void ArmWireEvent();
@@ -341,11 +466,20 @@ class Channel {
 
   std::vector<std::function<void()>> decongest_listeners_;
 
+  /// Sender's congested output-edge count (null unless in an output edge),
+  /// and whether this channel is counted in it.
+  uint32_t* congestion_counter_ = nullptr;
+  bool counted_congested_ = false;
+  /// Receiver's readiness bits (null until the channel is a receiver input).
+  InputReadiness* readiness_ = nullptr;
+  uint32_t ready_index_ = 0;
+
   uint64_t delivered_elements_ = 0;
   uint64_t delivered_bytes_ = 0;
   uint64_t shed_elements_ = 0;
   uint64_t delivered_batches_ = 0;
   uint64_t max_batch_size_ = 0;
+  uint64_t direct_transmits_ = 0;
   std::array<uint64_t, 16> batch_size_log2_hist_ = {};
   bool scaling_path_ = false;
   bool receiver_blocked_ = false;

@@ -297,7 +297,7 @@ std::vector<Task*> ExecutionGraph::AddInstances(OperatorId op,
         OutputEdge* edge = FindEdgeTo(pred, op);
         DRRS_CHECK(edge != nullptr);
         DRRS_CHECK(edge->channels.size() == subtask);
-        edge->channels.push_back(CreateChannel(pred, fresh));
+        pred->AddOutputChannel(edge, CreateChannel(pred, fresh));
       }
     }
 

@@ -33,15 +33,18 @@ bool EagerlyConsumable(const StreamElement& e) {
 InputHandler::Selection DefaultInputHandler::SelectNext(Task* task) {
   Selection sel;
   const auto& chans = task->input_channels();
+  // Both passes visit only the channels holding input, in the order a scan
+  // of every channel would: ascending, then cyclically from cursor_.
+  const net::InputReadiness& ready = task->input_readiness();
   size_t n = chans.size();
   if (n == 0) return sel;
   if (cursor_ >= n) cursor_ = 0;
 
   // Pass 1: control elements (and re-routed records) at channel heads are
   // consumed eagerly; they are never subject to data suspension.
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = ready.NextSet(0); i < n; i = ready.NextSet(i + 1)) {
     net::Channel* ch = chans[i];
-    if (!ch->HasInput() || task->IsChannelBlocked(ch)) continue;
+    if (task->IsChannelBlocked(ch)) continue;
     const StreamElement& head = ch->PeekInput();
     if (!EagerlyConsumable(head)) continue;
     if (!task->HeadProcessable(ch, head)) continue;
@@ -56,10 +59,10 @@ InputHandler::Selection DefaultInputHandler::SelectNext(Task* task) {
   // suspends even if other channels hold processable records — the
   // behaviour DRRS's Record Scheduling improves on (Section III-B).
   bool any_input = false;
-  for (size_t step = 0; step < n; ++step) {
-    size_t idx = (cursor_ + step) % n;
+  const size_t start = cursor_;
+  for (size_t idx = ready.CyclicFirst(start); idx < n;
+       idx = ready.CyclicNext(start, idx)) {
     net::Channel* ch = chans[idx];
-    if (!ch->HasInput()) continue;
     any_input = true;
     if (task->IsChannelBlocked(ch)) continue;
     cursor_ = idx;  // becomes (or stays) the active channel
@@ -113,10 +116,22 @@ Task::~Task() = default;
 
 void Task::AddInputChannel(net::Channel* channel) {
   input_channels_.push_back(channel);
+  channel->set_readiness(&input_ready_, input_ready_.AddSlot());
 }
 
 void Task::AddOutputEdge(OutputEdge edge) {
+  for (net::Channel* ch : edge.channels) {
+    ch->set_congestion_counter(&congested_outputs_);
+  }
   output_edges_.push_back(std::move(edge));
+}
+
+void Task::AddOutputChannel(OutputEdge* edge, net::Channel* channel) {
+  DRRS_CHECK(edge >= output_edges_.data() &&
+             edge < output_edges_.data() + output_edges_.size())
+      << "edge is not an output edge of task " << id_;
+  channel->set_congestion_counter(&congested_outputs_);
+  edge->channels.push_back(channel);
 }
 
 void Task::InitState(uint32_t num_key_groups) {
@@ -279,42 +294,33 @@ void Task::OnOutputCongested(net::Channel* /*channel*/) {
 }
 
 bool Task::AnyOutputCongested() {
-  bool congested = false;
+  if (congested_outputs_ == 0) return false;
   for (OutputEdge& edge : output_edges_) {
     for (net::Channel* ch : edge.channels) {
-      if (ch->congested()) {
-        congested = true;
-        break;
+      if (decongest_listened_.insert(ch).second) {
+        ch->AddDecongestListener([this]() { MaybeSchedule(); });
       }
     }
-    if (congested) break;
-  }
-  if (congested) {
-    for (OutputEdge& edge : output_edges_) {
-      for (net::Channel* ch : edge.channels) {
-        if (decongest_listened_.insert(ch).second) {
-          ch->AddDecongestListener([this]() { MaybeSchedule(); });
-        }
-      }
-    }
-  }
-  return congested;
-}
-
-bool Task::AnyOutputCongestedFast() const {
-  for (const OutputEdge& edge : output_edges_) {
-    for (net::Channel* ch : edge.channels) {
-      if (ch->congested()) return true;
-    }
-  }
-  return false;
-}
-
-bool Task::AllInputsEmpty() const {
-  for (net::Channel* ch : input_channels_) {
-    if (ch->HasInput()) return false;
   }
   return true;
+}
+
+void Task::CheckReadiness() const {
+  for (size_t i = 0; i < input_channels_.size(); ++i) {
+    DRRS_CHECK(input_ready_.test(i) == input_channels_[i]->HasInput())
+        << "task " << id_ << ": readiness bit " << i << " is "
+        << input_ready_.test(i) << " but the input cache holds "
+        << input_channels_[i]->input_queue_size();
+  }
+  uint32_t congested = 0;
+  for (const OutputEdge& edge : output_edges_) {
+    for (const net::Channel* ch : edge.channels) {
+      if (ch->congested()) ++congested;
+    }
+  }
+  DRRS_CHECK(congested == congested_outputs_)
+      << "task " << id_ << ": congestion count " << congested_outputs_
+      << " but " << congested << " output channels are congested";
 }
 
 void Task::EnterStall(metrics::StallReason reason) {
@@ -336,6 +342,7 @@ void Task::ExitStall() {
 
 void Task::RunOnce() {
   if (frozen_ || crashed_) return;
+  DRRS_AUDIT_ONLY(CheckReadiness();)
   if (AnyOutputCongested()) {
     EnterStall(metrics::StallReason::kBackpressure);
     return;  // decongest listener re-arms us
@@ -352,7 +359,7 @@ void Task::RunOnce() {
   }
   ExitStall();
   suspend_memo_ = false;
-  Dispatch(sel.channel, std::move(sel.element));
+  Dispatch(sel.channel, sel.element);
   if (RearmIsNoOp()) {
     sim_->Reserve(rearm_slot_, std::max(sim_->now(), busy_until_));
     return;
@@ -365,11 +372,12 @@ bool Task::RearmIsNoOp() const {
   // nothing else, no input; stalled_ is already clear. Anything that later
   // changes that redeems the reserved key (MaybeSchedule,
   // OnOutputCongested); freezing or crashing only makes the run a no-op.
+  DRRS_AUDIT_ONLY(CheckReadiness();)
   return !run_scheduled_ && !frozen_ && !crashed_ && default_handler_ &&
          AllInputsEmpty() && !AnyOutputCongestedFast();
 }
 
-void Task::Dispatch(net::Channel* channel, StreamElement element) {
+void Task::Dispatch(net::Channel* channel, StreamElement& element) {
   switch (element.kind) {
     case ElementKind::kRecord:
       ProcessDataRecord(channel, element);

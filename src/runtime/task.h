@@ -99,9 +99,18 @@ class Task : public net::ChannelReceiver,
   metrics::MetricsHub* hub() { return hub_; }
   sim::Simulator* simulator() { return sim_; }
 
+  /// Bit i is set exactly while input_channels()[i] holds input.
+  const net::InputReadiness& input_readiness() const { return input_ready_; }
+  /// Output-edge channels that are congested() right now.
+  uint32_t congested_outputs() const { return congested_outputs_; }
+
   // ---- wiring (ExecutionGraph / scaling) ----
+  /// Channels join a task through these calls only: they hook each channel
+  /// up to the readiness bits or the congestion count.
   void AddInputChannel(net::Channel* channel);
   void AddOutputEdge(OutputEdge edge);
+  /// Append `channel` to `edge`, one of this task's output edges.
+  void AddOutputChannel(OutputEdge* edge, net::Channel* channel);
   void set_checkpoint_coordinator(CheckpointCoordinator* c) {
     checkpoint_coordinator_ = c;
   }
@@ -257,10 +266,15 @@ class Task : public net::ChannelReceiver,
   virtual void RunOnce();
   bool AnyOutputCongested();
   /// Pure congestion probe: no decongest-listener registration. Used by the
-  /// trailing re-arm elision, which must not alter listener state.
-  bool AnyOutputCongestedFast() const;
+  /// trailing re-arm elision, which must not alter listener state. One load:
+  /// each output-edge channel keeps congested_outputs_ up to date itself.
+  bool AnyOutputCongestedFast() const { return congested_outputs_ != 0; }
   /// True when no input cache holds an element (trailing re-arm elision).
-  bool AllInputsEmpty() const;
+  /// One comparison: the channels keep input_ready_ up to date themselves.
+  bool AllInputsEmpty() const { return input_ready_.none(); }
+  /// DRRS_AUDIT builds: abort unless the readiness bits and the congestion
+  /// count agree with a full scan of the channels.
+  void CheckReadiness() const;
   void EnterStall(metrics::StallReason reason);
   void ExitStall();
 
@@ -276,7 +290,7 @@ class Task : public net::ChannelReceiver,
   static void RunEvent(void* task);
   /// True when the re-arm after a dispatch would run as a no-op.
   bool RearmIsNoOp() const;
-  void Dispatch(net::Channel* channel, dataflow::StreamElement element);
+  void Dispatch(net::Channel* channel, dataflow::StreamElement& element);
   void HandleWatermark(net::Channel* channel, sim::SimTime wm);
   void ProcessDataRecord(net::Channel* channel,
                          dataflow::StreamElement& element);
@@ -293,6 +307,10 @@ class Task : public net::ChannelReceiver,
   std::vector<net::Channel*> input_channels_;
   std::vector<OutputEdge> output_edges_;
   size_t blocked_count_ = 0;  ///< channels with receiver_blocked() set
+  /// One bit per input channel, set while its cache holds input.
+  net::InputReadiness input_ready_;
+  /// Congested channels over all output edges.
+  uint32_t congested_outputs_ = 0;
 
   // processing loop state
   bool stalled_ = false;

@@ -104,14 +104,18 @@ class DrrsInputHandler : public runtime::InputHandler {
   Selection SelectNext(Task* task) override {
     Selection sel;
     const auto& chans = task->input_channels();
+    // Every pass visits only the channels holding input (readiness bits),
+    // in the order a probe of each channel would.
+    const net::InputReadiness& ready = task->input_readiness();
     size_t n = chans.size();
     if (n == 0) return sel;
     if (cursor_ >= n) cursor_ = 0;
+    const size_t start = cursor_;
 
     // Eager control / re-routed heads first (same as the default handler).
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = ready.NextSet(0); i < n; i = ready.NextSet(i + 1)) {
       net::Channel* ch = chans[i];
-      if (!ch->HasInput() || task->IsChannelBlocked(ch)) continue;
+      if (task->IsChannelBlocked(ch)) continue;
       const StreamElement& head = ch->PeekInput();
       if (!EagerHead(head)) continue;
       if (!task->HeadProcessable(ch, head)) continue;
@@ -124,10 +128,9 @@ class DrrsInputHandler : public runtime::InputHandler {
     // Inter-channel Scheduling: take the first processable data head,
     // scanning every channel instead of suspending on the active one.
     bool any_input = false;
-    for (size_t step = 0; step < n; ++step) {
-      size_t idx = (cursor_ + step) % n;
+    for (size_t idx = ready.CyclicFirst(start); idx < n;
+         idx = ready.CyclicNext(start, idx)) {
       net::Channel* ch = chans[idx];
-      if (!ch->HasInput()) continue;
       any_input = true;
       if (task->IsChannelBlocked(ch)) continue;
       const StreamElement& head = ch->PeekInput();
@@ -144,22 +147,20 @@ class DrrsInputHandler : public runtime::InputHandler {
     // channel, up to the bounded buffer, never crossing a control element
     // (watermarks, barriers) to preserve time semantics.
     if (options_->scheduling == Scheduling::kInterIntra) {
-      for (size_t step = 0; step < n; ++step) {
-        size_t idx = (cursor_ + step) % n;
+      for (size_t idx = ready.CyclicFirst(start); idx < n;
+           idx = ready.CyclicNext(start, idx)) {
         net::Channel* ch = chans[idx];
-        if (!ch->HasInput() || task->IsChannelBlocked(ch)) continue;
+        if (task->IsChannelBlocked(ch)) continue;
         if (ch->scaling_path()) continue;  // rail heads handled eagerly
-        auto* queue = ch->mutable_input_queue();
-        size_t depth = std::min(queue->size(), options_->intra_channel_buffer);
+        const auto& queue = ch->input_queue();
+        size_t depth = std::min(queue.size(), options_->intra_channel_buffer);
         for (size_t i = 0; i < depth; ++i) {
-          const StreamElement& e = (*queue)[i];
+          const StreamElement& e = queue[i];
           if (e.IsControl() || e.rerouted) break;  // never cross signals
           if (!task->HeadProcessable(ch, e)) continue;
           sel.has_element = true;
           sel.channel = ch;
-          sel.element = (*queue)[i];
-          queue->erase(i);
-          ch->NotifyInputConsumed();
+          sel.element = ch->TakeInputAt(i);
           return sel;
         }
       }
@@ -640,41 +641,21 @@ void DrrsStrategy::AbandonScale() {
   for (Task* inst : graph_->instances_of(plan_.op)) {
     for (net::Channel* ch : inst->input_channels()) {
       if (ch->scaling_path()) continue;
-      auto* queue = ch->mutable_input_queue();
-      // In-place compaction: kept elements slide forward over moved ones,
-      // preserving FIFO order of both sequences.
-      size_t w = 0;
-      size_t extracted = 0;
-      const size_t n = queue->size();
-      for (size_t r = 0; r < n; ++r) {
-        StreamElement& e = (*queue)[r];
-        uint32_t owner = 0;
-        bool is_moved =
-            e.kind == ElementKind::kRecord &&
-            [&] {
-              auto it = moved.find(key_space.KeyGroupOf(e.key));
-              if (it == moved.end()) return false;
-              owner = it->second;
-              return true;
-            }() &&
-            graph_->instance(plan_.op, owner) != inst;
-        if (is_moved) {
-          Task* to = graph_->instance(plan_.op, owner);
-          StreamElement r_el = std::move(e);
-          r_el.rerouted = true;
-          core_.rails()
-              .Open(inst, to, /*seed_watermark=*/false)
-              ->mutable_input_queue()
-              ->push_back(std::move(r_el));
-          ++extracted;
-          to->WakeUp();
-        } else {
-          if (w != r) (*queue)[w] = std::move(e);
-          ++w;
-        }
-      }
-      queue->truncate(w);
-      for (size_t i = 0; i < extracted; ++i) ch->NotifyInputConsumed();
+      // Kept elements keep their FIFO order, and so do the moved ones.
+      ch->ExtractInput([&](StreamElement& e) {
+        if (e.kind != ElementKind::kRecord) return false;
+        auto it = moved.find(key_space.KeyGroupOf(e.key));
+        if (it == moved.end()) return false;
+        Task* to = graph_->instance(plan_.op, it->second);
+        if (to == inst) return false;
+        StreamElement r_el = std::move(e);
+        r_el.rerouted = true;
+        core_.rails()
+            .Open(inst, to, /*seed_watermark=*/false)
+            ->AppendInput(std::move(r_el));
+        to->WakeUp();
+        return true;
+      });
     }
   }
 
@@ -700,8 +681,7 @@ void DrrsStrategy::AbandonScale() {
         r.rerouted = true;
         core_.rails()
             .Open(old_owner, to, /*seed_watermark=*/false)
-            ->mutable_input_queue()
-            ->push_back(std::move(r));
+            ->AppendInput(std::move(r));
         to->WakeUp();
       }
     }

@@ -69,40 +69,20 @@ void StopRestartStrategy::Restore(const ScalePlan& plan) {
   for (Task* inst : graph_->instances_of(plan.op)) {
     for (net::Channel* ch : inst->input_channels()) {
       if (ch->scaling_path()) continue;
-      auto* queue = ch->mutable_input_queue();
-      // In-place compaction: kept elements slide forward over moved ones,
-      // preserving FIFO order of both sequences.
-      size_t w = 0;
-      size_t extracted = 0;
-      const size_t n = queue->size();
-      for (size_t r = 0; r < n; ++r) {
-        dataflow::StreamElement& e = (*queue)[r];
-        uint32_t owner = 0;
-        bool is_moved =
-            e.kind == dataflow::ElementKind::kRecord &&
-            [&] {
-              auto it = moved.find(key_space.KeyGroupOf(e.key));
-              if (it == moved.end()) return false;
-              owner = it->second;
-              return true;
-            }() &&
-            graph_->instance(plan.op, owner) != inst;
-        if (is_moved) {
-          Task* to = graph_->instance(plan.op, owner);
-          dataflow::StreamElement r_el = std::move(e);
-          r_el.rerouted = true;
-          core_.rails()
-              .Open(inst, to, /*seed_watermark=*/false)
-              ->mutable_input_queue()
-              ->push_back(std::move(r_el));
-          ++extracted;
-        } else {
-          if (w != r) (*queue)[w] = std::move(e);
-          ++w;
-        }
-      }
-      queue->truncate(w);
-      for (size_t i = 0; i < extracted; ++i) ch->NotifyInputConsumed();
+      // Kept elements keep their FIFO order, and so do the moved ones.
+      ch->ExtractInput([&](dataflow::StreamElement& e) {
+        if (e.kind != dataflow::ElementKind::kRecord) return false;
+        auto it = moved.find(key_space.KeyGroupOf(e.key));
+        if (it == moved.end()) return false;
+        Task* to = graph_->instance(plan.op, it->second);
+        if (to == inst) return false;
+        dataflow::StreamElement r_el = std::move(e);
+        r_el.rerouted = true;
+        core_.rails()
+            .Open(inst, to, /*seed_watermark=*/false)
+            ->AppendInput(std::move(r_el));
+        return true;
+      });
     }
   }
 

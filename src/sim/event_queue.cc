@@ -25,7 +25,12 @@ void EventQueue::InvokeBox(void* arg) {
 
 EventQueue::Fired EventQueue::Pop() {
   Event top;
-  if (has_next_) {
+  // The slot (else the heap top) competes with the lane head.
+  const Event* rest = has_next_ ? &next_ : heap_.empty() ? nullptr : &heap_[0];
+  if (!lane_.empty() && (rest == nullptr || Later(*rest, lane_.front()))) {
+    top = lane_.front();
+    lane_.pop_front();
+  } else if (has_next_) {
     top = next_;
     has_next_ = false;
   } else {
@@ -55,21 +60,31 @@ void EventQueue::SiftUp(size_t i) {
 }
 
 void EventQueue::SiftDown(size_t i) {
-  Event e = heap_[i];
+  Event* h = heap_.data();
+  const Event e = h[i];
   const size_t n = heap_.size();
   while (true) {
-    size_t first = (i << kAryLog2) + 1;
+    const size_t first = (i << kAryLog2) + 1;
     if (first >= n) break;
-    size_t last = first + kAry < n ? first + kAry : n;
-    size_t child = first;
-    for (size_t c = first + 1; c < last; ++c) {
-      if (Later(heap_[child], heap_[c])) child = c;
+    size_t child;
+    static_assert(kAry == 4, "the tournament below assumes four children");
+    if (first + kAry <= n) {
+      // All four children present: a two-round tournament on index
+      // arithmetic, no data-dependent branch.
+      const size_t a = first + Later(h[first], h[first + 1]);
+      const size_t b = first + 2 + Later(h[first + 2], h[first + 3]);
+      child = Later(h[a], h[b]) ? b : a;
+    } else {
+      child = first;
+      for (size_t c = first + 1; c < n; ++c) {
+        if (Later(h[child], h[c])) child = c;
+      }
     }
-    if (!Later(e, heap_[child])) break;
-    heap_[i] = heap_[child];
+    if (!Later(e, h[child])) break;
+    h[i] = h[child];
     i = child;
   }
-  heap_[i] = e;
+  h[i] = e;
 }
 
 }  // namespace drrs::sim

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/ring_deque.h"
 #include "sim/event_callback.h"
 #include "sim/sim_time.h"
 
@@ -39,9 +40,18 @@ namespace drrs::sim {
 /// when its seq was drawn (the simulator's elided task re-arms rely on this).
 ///
 /// In front of the heap sits a one-entry next-event slot that, when full,
-/// holds the global (time, seq) minimum. An event that becomes the minimum
-/// as it is pushed (typically a task run at now(), armed by a delivery at
-/// now()) goes there, and is popped from there, without a sift.
+/// holds the (time, seq) minimum of the slot and heap. An event that becomes
+/// that minimum as it is pushed (typically a task run at now(), armed by a
+/// delivery at now()) goes there, and is popped from there, without a sift.
+///
+/// Beside them runs a FIFO lane for link arrivals (`ScheduleArrival`). An
+/// arrival whose key is not below the lane's tail is appended to the lane in
+/// O(1); any other arrival takes the slot/heap path. The lane is therefore
+/// sorted, and Pop() takes the least of the slot (or heap top) and the lane
+/// head, so pop order is the one total (time, seq) order either way. The
+/// lane is for arrivals only: wire arrivals of a busy pipeline come in
+/// nearly nondecreasing time order, while a lane open to every event would
+/// soon hold a far-future timer at its tail and refuse everything after it.
 class EventQueue {
  public:
   using Callback = EventCallback;
@@ -56,6 +66,17 @@ class EventQueue {
     Push(Event{at, next_seq_++, fn, arg});
   }
 
+  /// Enqueue a raw link-arrival event: the FIFO lane takes it when its time
+  /// is not below the lane's tail, the slot/heap otherwise.
+  void ScheduleArrival(SimTime at, RawFn fn, void* arg) {
+    const Event e{at, next_seq_++, fn, arg};
+    if (lane_.empty() || lane_.back().time <= at) {
+      lane_.push_back(e);
+    } else {
+      Push(e);
+    }
+  }
+
   /// Draw the next insertion seq without enqueuing an event.
   uint64_t ReserveSeq() { return next_seq_++; }
 
@@ -65,13 +86,18 @@ class EventQueue {
     Push(Event{at, seq, fn, arg});
   }
 
-  bool empty() const { return !has_next_ && heap_.empty(); }
-  size_t size() const { return heap_.size() + (has_next_ ? 1 : 0); }
+  bool empty() const { return !has_next_ && heap_.empty() && lane_.empty(); }
+  size_t size() const {
+    return heap_.size() + lane_.size() + (has_next_ ? 1 : 0);
+  }
 
   /// Time of the earliest pending event; kSimTimeMax when empty.
   SimTime PeekTime() const {
-    if (has_next_) return next_.time;
-    return heap_.empty() ? kSimTimeMax : heap_.front().time;
+    SimTime t = has_next_        ? next_.time
+                : heap_.empty() ? kSimTimeMax
+                                : heap_.front().time;
+    if (!lane_.empty() && lane_.front().time < t) t = lane_.front().time;
+    return t;
   }
 
   /// A popped event, ready to run: call `fn(arg)`. For boxed callbacks, `fn`
@@ -124,12 +150,13 @@ class EventQueue {
   static constexpr size_t kAryLog2 = 2;
   static constexpr size_t kAry = size_t{1} << kAryLog2;
 
-  bool Later(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+  /// Branch-free (time, seq) comparison: sifts and the three-way Pop select
+  /// compile it to flag arithmetic and conditional moves.
+  static bool Later(const Event& a, const Event& b) {
+    return (a.time > b.time) | ((a.time == b.time) & (a.seq > b.seq));
   }
 
-  /// Insert `e`, keeping next_ (when full) the minimum of all events.
+  /// Insert `e`, keeping next_ (when full) below every heap entry.
   void Push(const Event& e) {
     if (has_next_) {
       if (!Later(next_, e)) {
@@ -154,13 +181,15 @@ class EventQueue {
   void SiftDown(size_t i);
 
   /// The next-event slot: valid while has_next_, and then earlier than every
-  /// heap entry.
+  /// heap entry (the lane is ordered on its own).
   Event next_{};
   bool has_next_ = false;
   // Explicit 4-ary heap over a vector of POD events. Hand-rolled sifts (vs
   // std::push_heap/pop_heap over move-only payloads) keep every move a
   // 32-byte copy.
   std::vector<Event> heap_;
+  /// Link arrivals in nondecreasing (time, seq) order.
+  RingDeque<Event> lane_;
   uint64_t next_seq_ = 0;
   uint64_t popped_ = 0;
   verify::Auditor* auditor_ = nullptr;

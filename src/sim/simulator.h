@@ -66,6 +66,13 @@ class Simulator {
     queue_.ScheduleRaw(at < now_ ? now_ : at, fn, arg);
   }
 
+  /// Raw scheduling for link arrivals (channel wire events): same ordering
+  /// as ScheduleRawAt, but the queue may hold the event in its FIFO arrival
+  /// lane instead of the heap (see EventQueue::ScheduleArrival).
+  void ScheduleArrivalAt(SimTime at, EventQueue::RawFn fn, void* arg) {
+    queue_.ScheduleArrival(at < now_ ? now_ : at, fn, arg);
+  }
+
   /// Raw counterpart of ScheduleAfter (delay must be >= 0).
   void ScheduleRawAfter(SimTime delay, EventQueue::RawFn fn, void* arg) {
     queue_.ScheduleRaw(now_ + delay, fn, arg);

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "dataflow/key_space.h"
 #include "dataflow/operator.h"
 #include "metrics/metrics_hub.h"
@@ -389,6 +390,186 @@ TEST(ElidedRearm, KeepsSameInstantOrderStallsAndClock) {
   // Every re-arm the engine used to run is either executed or elided.
   EXPECT_EQ(sim.executed_events() + sim.elided_events(), 40u);
   EXPECT_GT(sim.elided_events(), 0u);
+}
+
+/// Accepts deliveries and leaves them in the input cache.
+class ParkingReceiver : public net::ChannelReceiver {
+ public:
+  void OnBatchAvailable(net::Channel* /*channel*/, size_t /*appended*/) override {}
+  void OnControlBypass(net::Channel* /*channel*/,
+                       const StreamElement& /*element*/) override {}
+};
+
+TEST(Readiness, BitsAndCongestionCountFollowEveryMutation) {
+  size_t processed_total = 0;
+  uint64_t congested_steps = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    sim::Simulator sim;
+    metrics::MetricsHub hub;
+    dataflow::KeySpace key_space(8);
+    std::vector<dataflow::KeyT> processed;
+    dataflow::OperatorSpec spec;
+    spec.name = "probe";
+    spec.parallelism = 1;
+    spec.record_cost = sim::Micros(10);
+    spec.factory = [&processed]() {
+      return std::make_unique<RecordingOperator>(&processed);
+    };
+    Task task(&sim, spec, /*id=*/0, /*op=*/0, /*subtask=*/0, &key_space, &hub,
+              /*check_invariants=*/false);
+    task.Freeze();  // the test mutates the caches; "run" ops thaw it briefly
+
+    // Inputs: six regular channels and two rails, small credit windows.
+    std::vector<std::unique_ptr<net::Channel>> owned;
+    std::vector<net::Channel*> inputs;
+    std::vector<net::Channel*> rails;
+    for (int i = 0; i < 8; ++i) {
+      net::NetworkConfig cfg;
+      cfg.base_latency = sim::Micros(5 + 5 * i);
+      cfg.input_buffer_capacity = 2 + rng.NextBounded(4);
+      owned.push_back(std::make_unique<net::Channel>(
+          &sim, cfg, static_cast<dataflow::InstanceId>(100 + i), 0, &task));
+      net::Channel* ch = owned.back().get();
+      if (i >= 6) {
+        ch->set_scaling_path(true);
+        rails.push_back(ch);
+      }
+      task.AddInputChannel(ch);
+      inputs.push_back(ch);
+    }
+    // Outputs: two edges of three channels plus an outgoing rail (in no
+    // edge, so it never counts). Capacities 1..4 congest often.
+    ParkingReceiver downstream;
+    std::vector<net::Channel*> outputs;
+    std::vector<net::Channel*> edge_channels;
+    for (int e = 0; e < 2; ++e) {
+      OutputEdge edge;
+      for (int i = 0; i < 3; ++i) {
+        net::NetworkConfig cfg;
+        cfg.base_latency = sim::Micros(20);
+        cfg.input_buffer_capacity = 1 + rng.NextBounded(3);
+        cfg.output_buffer_capacity = 1 + rng.NextBounded(4);
+        owned.push_back(std::make_unique<net::Channel>(
+            &sim, cfg, 0, static_cast<dataflow::InstanceId>(200 + 3 * e + i),
+            &downstream));
+        owned.back()->set_sender(&task);
+        edge.channels.push_back(owned.back().get());
+      }
+      if (e == 0) {
+        for (net::Channel* ch : edge.channels) edge_channels.push_back(ch);
+        task.AddOutputEdge(std::move(edge));
+      } else {
+        // The second edge starts empty and grows like a scale-out's.
+        OutputEdge grown;
+        task.AddOutputEdge(std::move(grown));
+        for (net::Channel* ch : edge.channels) {
+          task.AddOutputChannel(&task.output_edges().back(), ch);
+          edge_channels.push_back(ch);
+        }
+      }
+    }
+    net::NetworkConfig rail_cfg;
+    rail_cfg.output_buffer_capacity = 1;
+    rail_cfg.input_buffer_capacity = 1;
+    net::Channel out_rail(&sim, rail_cfg, 0, 300, &downstream);
+    out_rail.set_sender(&task);
+    outputs = edge_channels;
+    outputs.push_back(&out_rail);
+
+    auto element = [&rng](dataflow::KeyT key) {
+      if (rng.NextBounded(8) == 0) return dataflow::MakeWatermark(0);
+      return MakeRecord(key, 0, 0, 0, 64);
+    };
+    auto pick = [&rng](const std::vector<net::Channel*>& v) {
+      return v[rng.NextBounded(v.size())];
+    };
+    auto is_odd = [](const StreamElement& e) { return (e.key & 1) != 0; };
+    auto is_mark = [](const StreamElement& e) {
+      return e.kind == ElementKind::kWatermark;
+    };
+    std::vector<StreamElement> trash;
+    for (int step = 0; step < 1500; ++step) {
+      const auto key = static_cast<dataflow::KeyT>(rng.NextBounded(64));
+      const uint64_t op = rng.NextBounded(15);
+      net::Channel* in = pick(inputs);
+      net::Channel* out = pick(outputs);
+      switch (op) {
+        case 0:  // delivery: push upstream of an input, let the wire run
+          in->Push(element(key));
+          sim.RunUntil(sim.now() + sim::Micros(rng.NextBounded(60)));
+          break;
+        case 1:  // pop
+          if (in->HasInput()) in->PopInput();
+          break;
+        case 2:  // shed
+          if (in->HasInput()) {
+            in->RemoveInputAt(rng.NextBounded(in->input_queue_size()));
+          }
+          break;
+        case 3:  // DRRS intra-channel erase
+          if (in->HasInput()) {
+            in->TakeInputAt(rng.NextBounded(in->input_queue_size()));
+          }
+          break;
+        case 4: {  // compaction onto a rail
+          net::Channel* rail = pick(rails);
+          if (in == rail) break;
+          const uint64_t mode = rng.NextBounded(3);
+          in->ExtractInput([&](StreamElement& e) {
+            const bool take = mode == 0 || (mode == 1 && (e.key & 1) != 0);
+            if (take) rail->AppendInput(std::move(e));
+            return take;
+          });
+          break;
+        }
+        case 5:  // rail append
+          pick(rails)->AppendInput(MakeRecord(key, 0, 0, 0, 64));
+          break;
+        case 6:
+        case 7:  // emission
+          out->Push(element(key));
+          break;
+        case 8:
+          out->PushPriority(element(key));
+          break;
+        case 9:
+          trash = out->ExtractFromOutput(is_odd);
+          break;
+        case 10:
+          trash = out->ExtractFromOutputBefore(is_odd, is_mark);
+          break;
+        case 11:
+          out->InsertAfterFirst(is_mark, MakeRecord(key, 0, 0, 0, 64));
+          break;
+        case 12:  // downstream consumes: credit flows back, caches drain
+          if (out->HasInput()) out->PopInput();
+          sim.RunUntil(sim.now() + sim::Micros(rng.NextBounded(40)));
+          break;
+        case 13:  // the task itself selects and dispatches for a while
+          task.Unfreeze();
+          sim.RunUntil(sim.now() + sim::Micros(rng.NextBounded(50)));
+          task.Freeze();
+          break;
+        default:  // time passes
+          sim.RunUntil(sim.now() + sim::Micros(rng.NextBounded(100)));
+          break;
+      }
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        ASSERT_EQ(task.input_readiness().test(i), inputs[i]->HasInput())
+            << "seed " << seed << " step " << step << " op " << op
+            << " input " << i;
+      }
+      uint32_t congested = 0;
+      for (net::Channel* ch : edge_channels) congested += ch->congested();
+      ASSERT_EQ(task.congested_outputs(), congested)
+          << "seed " << seed << " step " << step << " op " << op;
+      congested_steps += congested > 0;
+    }
+    processed_total += processed.size();
+  }
+  EXPECT_GT(processed_total, 0u);
+  EXPECT_GT(congested_steps, 0u);
 }
 
 }  // namespace

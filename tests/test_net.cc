@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
+#include "common/random.h"
+#include "common/thread_annotations.h"
 #include "dataflow/stream_element.h"
 #include "net/channel.h"
+#include "net/fault_plane.h"
 #include "sim/simulator.h"
 
 namespace drrs::net {
@@ -266,6 +270,242 @@ TEST_F(ChannelTest, ScalingPathFlag) {
   EXPECT_FALSE(ch.scaling_path());
   ch.set_scaling_path(true);
   EXPECT_TRUE(ch.scaling_path());
+}
+
+// ---------------------------------------------------------------------------
+// Direct transmit. A Push into an empty output cache that the credit window
+// and the fault plane admit goes straight onto the wire; every case below
+// must look exactly as it did when each element was cached and read back.
+// The expected values were recorded on the cached-only channel.
+// ---------------------------------------------------------------------------
+
+/// Logs (arrival time, key, kind) of every delivered element; optionally
+/// consumes it at once, returning its credit.
+class LoggingReceiver : public ChannelReceiver {
+ public:
+  using Entry = std::tuple<sim::SimTime, uint64_t, ElementKind>;
+  LoggingReceiver(sim::Simulator* sim, bool drain) : sim_(sim), drain_(drain) {}
+  void OnBatchAvailable(Channel* channel, size_t appended) override {
+    const auto& q = channel->input_queue();
+    for (size_t i = q.size() - appended; i < q.size(); ++i) {
+      log.emplace_back(sim_->now(), q[i].key, q[i].kind);
+    }
+    while (drain_ && channel->HasInput()) channel->PopInput();
+  }
+  void OnControlBypass(Channel* /*channel*/,
+                       const StreamElement& /*element*/) override {}
+
+  std::vector<Entry> log;
+
+ private:
+  sim::Simulator* sim_;
+  bool drain_;
+};
+
+class OnsetCounter : public ChannelSender {
+ public:
+  void OnOutputCongested(Channel* /*channel*/) override { ++onsets; }
+  int onsets = 0;
+};
+
+TEST(DirectTransmit, CapacityOneKeepsTheCachedPath) {
+  // With room for one element, caching the element is itself a congestion
+  // onset: the sender hears of it and the latch sets (and, at capacity 1,
+  // never releases: half of 1 is 0).
+  sim::Simulator sim;
+  LoggingReceiver receiver(&sim, /*drain=*/false);
+  NetworkConfig cfg;
+  cfg.base_latency = sim::Micros(100);
+  cfg.bandwidth_bytes_per_us = 100;
+  cfg.input_buffer_capacity = 2;
+  cfg.output_buffer_capacity = 1;
+  Channel ch(&sim, cfg, 1, 2, &receiver);
+  OnsetCounter sender;
+  ch.set_sender(&sender);
+  int decongested = 0;
+  ch.AddDecongestListener([&] { ++decongested; });
+  for (uint64_t k = 0; k < 4; ++k) ch.Push(MakeRecord(k, 0, 0, 0, 100));
+  // k0 and k1 left at once; k2 and k3 wait for credit.
+  EXPECT_EQ(sender.onsets, 3);
+  EXPECT_EQ(ch.output_queue_size(), 2u);
+  EXPECT_TRUE(ch.congested());
+  sim.RunUntilIdle();
+  ch.PopInput();
+  ch.PopInput();
+  sim.RunUntilIdle();
+  EXPECT_EQ(ch.output_queue_size(), 0u);
+  EXPECT_FALSE(ch.congested());
+  EXPECT_EQ(decongested, 0);
+  EXPECT_EQ(ch.direct_transmits(), 0u);
+  const std::vector<LoggingReceiver::Entry> expected = {
+      {101, 0, ElementKind::kRecord},
+      {102, 1, ElementKind::kRecord},
+      {203, 2, ElementKind::kRecord},
+      {204, 3, ElementKind::kRecord}};
+  EXPECT_EQ(receiver.log, expected);
+}
+
+/// Partitions the link in [50, 150) us, halves its bandwidth, drops every
+/// second state chunk and duplicates every third; counts gate queries.
+class ScriptedFaults : public FaultPlane {
+ public:
+  explicit ScriptedFaults(sim::Simulator* sim) : sim_(sim) {}
+  bool AllowTransmit(const Channel& /*channel*/) override {
+    ++allow_calls;
+    return sim_->now() < 50 || sim_->now() >= 150;
+  }
+  double BandwidthFactor(const Channel& /*channel*/) override { return 0.5; }
+  ChunkFaultDecision OnChunkTransmit(const Channel& /*channel*/,
+                                     const StreamElement& /*chunk*/) override {
+    ++chunks;
+    ChunkFaultDecision d;
+    d.drop = chunks % 2 == 0;
+    d.duplicate = chunks % 3 == 0;
+    return d;
+  }
+  int allow_calls = 0;
+  int chunks = 0;
+
+ private:
+  sim::Simulator* sim_;
+};
+
+TEST(DirectTransmit, FaultPlaneGatesEveryPush) {
+  sim::Simulator sim;
+  ScriptedFaults faults(&sim);
+  sim.set_fault_plane(&faults);
+  LoggingReceiver receiver(&sim, /*drain=*/true);
+  NetworkConfig cfg;
+  cfg.base_latency = sim::Micros(100);
+  cfg.bandwidth_bytes_per_us = 100;
+  cfg.input_buffer_capacity = 4;
+  cfg.output_buffer_capacity = 8;
+  Channel ch(&sim, cfg, 1, 2, &receiver);
+  auto chunk = [](uint64_t key) {
+    StreamElement c;
+    c.kind = ElementKind::kStateChunk;
+    c.key = key;
+    c.chunk_bytes = 1000;  // 20 us at the halved bandwidth
+    return c;
+  };
+  auto push_at = [&](sim::SimTime t, StreamElement e) {
+    sim.ScheduleAt(t, [&ch, e] { ch.Push(e); });
+  };
+  push_at(0, MakeRecord(1, 0, 0, 0, 100));
+  push_at(10, chunk(2));   // sent
+  push_at(20, chunk(3));   // dropped on the wire, link time still spent
+  push_at(60, MakeRecord(4, 0, 0, 0, 100));   // partitioned: cached
+  push_at(70, MakeRecord(5, 0, 0, 0, 100));   // behind it
+  sim.ScheduleAt(150, [&ch] { ch.PokeTransmit(); });  // healed
+  push_at(160, chunk(6));  // sent twice (duplicated)
+  push_at(400, chunk(7));  // dropped
+  push_at(500, MakeRecord(8, 0, 0, 0, 100));
+  sim.RunUntilIdle();
+  EXPECT_EQ(faults.allow_calls, 12);
+  EXPECT_EQ(faults.chunks, 4);
+  EXPECT_EQ(ch.link_free_at(), 502);
+  EXPECT_EQ(ch.direct_transmits(), 6u);
+  const std::vector<LoggingReceiver::Entry> expected = {
+      {102, 1, ElementKind::kRecord},
+      {130, 2, ElementKind::kStateChunk},
+      {252, 4, ElementKind::kRecord},
+      {254, 5, ElementKind::kRecord},
+      {280, 6, ElementKind::kStateChunk},
+      {280, 6, ElementKind::kStateChunk},
+      {602, 8, ElementKind::kRecord}};
+  EXPECT_EQ(receiver.log, expected);
+}
+
+/// Records what a cross-partition channel posts to the engine mailbox.
+class RecordingRouter : public RemoteRouter {
+ public:
+  void PostRemote(Channel* /*channel*/, sim::SimTime arrival,
+                  StreamElement element, bool bypass) override {
+    posts.emplace_back(arrival, element.key, bypass);
+  }
+  void PostRemoteCredit(Channel* /*channel*/, uint32_t credits) override {
+    credit_posts += credits;
+  }
+  std::vector<std::tuple<sim::SimTime, uint64_t, bool>> posts;
+  uint32_t credit_posts = 0;
+};
+
+TEST(DirectTransmit, CrossPartitionChannelNeverTakesIt) {
+  sim::Simulator sender_sim;
+  sim::Simulator receiver_sim;
+  LoggingReceiver receiver(&receiver_sim, /*drain=*/false);
+  NetworkConfig cfg;
+  cfg.base_latency = sim::Micros(100);
+  cfg.bandwidth_bytes_per_us = 100;
+  cfg.input_buffer_capacity = 2;
+  cfg.output_buffer_capacity = 8;
+  Channel ch(&sender_sim, cfg, 1, 2, &receiver);
+  RecordingRouter router;
+  ch.BindRemote(&router, /*sender_partition=*/0, /*receiver_partition=*/1,
+                &receiver_sim);
+  ch.Push(MakeRecord(1, 0, 0, 0, 100));
+  ch.Push(MakeRecord(2, 0, 0, 0, 100));
+  ch.Push(MakeRecord(3, 0, 0, 0, 100));  // out of credit: cached
+  EXPECT_EQ(ch.output_queue_size(), 1u);
+  sender_sim.ScheduleAt(50, [] {});
+  sender_sim.RunUntilIdle();
+  {
+    SerialPhaseScope serial(kEngineSerialPhase);
+    ch.ApplyRemoteCredits(1);
+  }
+  ch.Push(MakeRecord(4, 0, 0, 0, 100));  // empty cache, but remote: cached
+  EXPECT_EQ(ch.output_queue_size(), 1u);
+  EXPECT_EQ(ch.direct_transmits(), 0u);
+  const std::vector<std::tuple<sim::SimTime, uint64_t, bool>> expected = {
+      {101, 1, false}, {102, 2, false}, {151, 3, false}};
+  EXPECT_EQ(router.posts, expected);
+}
+
+TEST(InputReadiness, WalksVisitSetBitsInProbeOrder) {
+  Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    InputReadiness ready;
+    std::vector<bool> ref;
+    const size_t n = 1 + rng.NextBounded(150);  // up to three words
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ready.AddSlot(), i);
+      ref.push_back(false);
+      if (rng.NextBounded(4) == 0) {
+        ready.Set(static_cast<uint32_t>(i));
+        ref[i] = true;
+      }
+    }
+    if (rng.NextBounded(2) == 0) {  // clear a few again
+      for (size_t i = 0; i < n; ++i) {
+        if (ref[i] && rng.NextBounded(3) == 0) {
+          ready.Clear(static_cast<uint32_t>(i));
+          ref[i] = false;
+        }
+      }
+    }
+    std::vector<size_t> ascending;
+    for (size_t i = 0; i < n; ++i) {
+      if (ref[i]) ascending.push_back(i);
+      EXPECT_EQ(ready.test(i), ref[i]);
+    }
+    EXPECT_EQ(ready.none(), ascending.empty());
+    std::vector<size_t> walked;
+    for (size_t i = ready.NextSet(0); i < n; i = ready.NextSet(i + 1)) {
+      walked.push_back(i);
+    }
+    EXPECT_EQ(walked, ascending);
+    const size_t start = rng.NextBounded(n);
+    std::vector<size_t> probe;
+    for (size_t step = 0; step < n; ++step) {
+      if (ref[(start + step) % n]) probe.push_back((start + step) % n);
+    }
+    walked.clear();
+    for (size_t i = ready.CyclicFirst(start); i < n;
+         i = ready.CyclicNext(start, i)) {
+      walked.push_back(i);
+    }
+    EXPECT_EQ(walked, probe) << "round " << round << " start " << start;
+  }
 }
 
 }  // namespace

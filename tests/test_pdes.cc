@@ -256,6 +256,51 @@ TEST(PdesDeterminism, MultiJobWithRescaleIsThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
+// Window starts. The earliest pending key of a partition can be an elided
+// re-arm (a reservation, Simulator::Reserve) or a link arrival waiting in the
+// event queue's FIFO lane; either must open the next window exactly where the
+// event it stands for would have. A one-credit window makes the split run
+// credit-bound across partitions, so every window end (where delayed credits
+// land) shows in the latency series.
+// ---------------------------------------------------------------------------
+
+harness::ExperimentResult RunCreditBoundSplit(
+    std::vector<uint32_t> partitions) {
+  workloads::CustomParams p;
+  p.events_per_second = 3000;
+  p.num_keys = 300;
+  p.skew = 0.5;
+  p.duration = sim::Seconds(6);
+  p.record_cost = sim::Micros(120);
+  p.agg_parallelism = 3;
+  p.num_key_groups = 24;
+  harness::ExperimentConfig c;
+  c.system = harness::SystemKind::kNoScale;
+  c.scale_at = sim::Seconds(3);
+  c.partition_override = std::move(partitions);
+  c.engine.net.input_buffer_capacity = 1;
+  c.engine.net.base_latency = sim::Micros(300);
+  return harness::RunExperiment(workloads::BuildCustomWorkload(p), c);
+}
+
+TEST(PdesWindows, WindowMayStartAtAReservation) {
+  // Three partitions, every link remote: an idle aggregator's elided re-arm
+  // is often the earliest key of all.
+  auto r = RunCreditBoundSplit({0, 1, 2});
+  EXPECT_GT(r.elided_events, 0u);
+  ExpectPinned(r, {17818, 17818, 0x93c43f1a30cfccbdULL, 0xe56ae108785c8328ULL,
+                   0, 6000643});
+}
+
+TEST(PdesWindows, WindowMayStartAtALaneEntry) {
+  // Source and aggregator share a partition: their links are local, and
+  // their arrivals wait in that partition's FIFO lane.
+  auto r = RunCreditBoundSplit({0, 0, 1});
+  ExpectPinned(r, {17818, 17818, 0xfb1c8e45a5355594ULL, 0xe56ae108785c8328ULL,
+                   0, 6000643});
+}
+
+// ---------------------------------------------------------------------------
 // Engine-global timers (the multi-partition state sampler path)
 // ---------------------------------------------------------------------------
 

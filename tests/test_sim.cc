@@ -55,23 +55,29 @@ TEST(EventQueue, TieBreakIsGlobalInsertionOrder) {
   EXPECT_EQ(fired, (std::vector<int>{2, 4, 1, 3}));
 }
 
-// Property: a random mix of raw events, boxed callbacks and reserved seqs
-// (drawn by ReserveSeq, enqueued later by ScheduleReserved, or never) pops
-// in the order of a reference sort by (time, seq), and size(), empty() and
-// PeekTime() agree with the reference after every operation. The next-event
-// slot is full after a push that made a new minimum and empty after a pop;
-// both kinds of pop must occur.
+// Property: a random mix of raw events, boxed callbacks, reserved seqs
+// (drawn by ReserveSeq, enqueued later by ScheduleReserved, or never) and
+// link arrivals (ScheduleArrival, in and out of time order) pops in the order
+// of a reference sort by (time, seq), and size(), empty() and PeekTime()
+// agree with the reference after every operation. The next-event slot is
+// full after a non-arrival push that made a new minimum of the slot and heap,
+// and empty after it is popped. An arrival at or after the lane's tail joins
+// the lane; an earlier one takes the slot/heap path. Pops from the slot, the
+// heap and the lane must all occur, and so must both kinds of arrival.
 TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
   struct Pending {
     SimTime time;
     uint64_t seq;
     int id;
+    bool lane = false;
   };
   auto earlier = [](const Pending& a, const Pending& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   };
   uint64_t slot_pops = 0;
   uint64_t heap_pops = 0;
+  uint64_t lane_pops = 0;
+  uint64_t heaped_arrivals = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     EventQueue q;
@@ -83,10 +89,19 @@ TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
     uint64_t abandoned = 0;  // reserved seqs never enqueued
     SimTime floor = 0;       // time of the last pop
     bool slot_full = false;
+    size_t lane_size = 0;
+    SimTime lane_tail = 0;
     auto push_ref = [&](const Pending& e) {
-      bool new_min = true;
-      for (const Pending& p : ref) new_min = new_min && earlier(e, p);
-      if (new_min) slot_full = true;
+      if (e.lane) {
+        ++lane_size;
+        lane_tail = e.time;
+      } else {
+        bool new_min = true;
+        for (const Pending& p : ref) {
+          if (!p.lane) new_min = new_min && earlier(e, p);
+        }
+        if (new_min) slot_full = true;
+      }
       ref.push_back(e);
     };
     auto draw_time = [&] {
@@ -95,9 +110,20 @@ TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
                  : floor + static_cast<SimTime>(rng.NextBounded(20));
     };
     for (int step = 0; step < 3000; ++step) {
-      const uint64_t op = rng.NextBounded(100);
+      const uint64_t op = rng.NextBounded(120);
       const int id = static_cast<int>(ids.size());
-      if (op < 30) {
+      if (op >= 100) {
+        // A link arrival: mostly at or after the lane's tail (a busy wire),
+        // sometimes before it (a short link overtaking a long one).
+        SimTime t = draw_time();
+        if (op < 112 && lane_size > 0 && t < lane_tail) t = lane_tail;
+        ids.push_back(id);
+        Pending e{t, next_seq++, id};
+        e.lane = lane_size == 0 || t >= lane_tail;
+        heaped_arrivals += !e.lane;
+        push_ref(e);
+        q.ScheduleArrival(t, [](void*) {}, &ids.back());
+      } else if (op < 30) {
         const SimTime t = draw_time();
         ids.push_back(id);
         push_ref({t, next_seq++, id});
@@ -131,8 +157,13 @@ TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
         }
         const Pending expect = *min_it;
         ref.erase(min_it);
-        (slot_full ? slot_pops : heap_pops) += 1;
-        slot_full = false;
+        if (expect.lane) {
+          --lane_size;
+          ++lane_pops;
+        } else {
+          (slot_full ? slot_pops : heap_pops) += 1;
+          slot_full = false;
+        }
         EventQueue::Fired f = q.Pop();
         ASSERT_EQ(f.time, expect.time) << "seed " << seed << " step " << step;
         ASSERT_EQ(f.seq, expect.seq) << "seed " << seed << " step " << step;
@@ -156,6 +187,8 @@ TEST(EventQueue, RandomMixPopsInReferenceKeyOrder) {
   }
   EXPECT_GT(slot_pops, 0u);
   EXPECT_GT(heap_pops, 0u);
+  EXPECT_GT(lane_pops, 0u);
+  EXPECT_GT(heaped_arrivals, 0u);
 }
 
 TEST(EventQueue, PeekTimeEmpty) {
